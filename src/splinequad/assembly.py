@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
+from .doubledouble import DD
 from .families import (
     FACTOR_C1_ENDPOINT,
     FACTOR_C1_EVEN,
@@ -31,21 +33,6 @@ from .rootfind import isolate_and_refine
 
 class DegenerateWeight(Exception):
     """A weight denominator vanished; impossible for a valid family spec."""
-
-
-# The S polynomials cancel strongly near x = +-1 (at a root of R they are
-# proportional to 1 - x^2 times a large Gegenbauer value), which costs the
-# plain double evaluation up to four digits for n beyond ~35.  The weight
-# denominators are therefore always evaluated in mpmath at this precision;
-# root isolation stays in doubles.
-_WEIGHT_DPS = 25
-
-
-def _divide(a, denom):
-    """a / denom where a may be an exact Fraction and denom a float or mpf."""
-    if isinstance(a, Fraction):
-        return a.numerator / (a.denominator * denom)
-    return a / denom
 
 
 @dataclass(frozen=True)
@@ -76,64 +63,94 @@ class ScaledRule:
         return len(self.intervals)
 
 
+# products only, no powers: they also evaluate on double-double arrays
 _EXTRA_FACTORS = {
     FACTOR_ONE: lambda x: 1,
-    FACTOR_C1_ENDPOINT: lambda x: (1 - x * x) ** 2,
-    FACTOR_C1_EVEN: lambda x: (1 + x) * (1 - x) ** 2,
+    FACTOR_C1_ENDPOINT: lambda x: (1 - x * x) * (1 - x * x),
+    FACTOR_C1_EVEN: lambda x: (1 + x) * ((1 - x) * (1 - x)),
 }
+
+
+def _mpf(value):
+    """An int, Fraction or mpf as an mpf at the working precision."""
+    if isinstance(value, Fraction):
+        return mpmath.mpf(value.numerator) / value.denominator
+    return mpmath.mpf(value)
+
+
+def _degenerate(spec: FamilySpec, x):
+    return DegenerateWeight(f"{spec.id.name} n={spec.n}: denominator ~ 0 at x={x}")
+
+
+def _free_double(spec: FamilySpec, iv) -> tuple:
+    """Free nodes and weights of one interval, rounded to double.
+
+    The roots are isolated and refined in double on the float combo.  The
+    weight A / (R'(x) S(x) f(x)) is so sensitive to x near +-1 that even
+    the double root (within about an ulp, 1.3e-16 at most for n <= 200)
+    changes it by up to 1.3e-9 relative at n = 80 and 1.9e-7 at n = 200,
+    and S cancels there too.  So the rest runs in double-double on all
+    roots at once: one Newton step from the double roots, then R' and S
+    at the polished nodes, and a single rounding of each node and weight
+    at the end.
+    """
+    roots = isolate_and_refine(
+        iv.r.map(float), -1, 1, iv.expected_free_nodes).roots
+    r, s = iv.r.map(DD.of), iv.s.map(DD.of)
+    x = DD(np.array(roots))
+    rval, rder = eval_combo(r, x)
+    x = x - rval / rder
+    _, rder = eval_combo(r, x)
+    sval, _ = eval_combo(s, x)
+    denom = rder * sval * _EXTRA_FACTORS[iv.extra_weight_factor](x)
+    bad = ~np.isfinite(denom.hi) | (np.abs(denom.hi) <= 1e-300)
+    if bad.any():
+        raise _degenerate(spec, x.hi[bad][0])
+    return x.rounded().tolist(), (DD.of(iv.a) / denom).rounded().tolist()
+
+
+def _free_extended(spec: FamilySpec, iv) -> tuple:
+    """Free nodes and weights of one interval at the working precision."""
+    roots = isolate_and_refine(
+        iv.r, -1, 1, iv.expected_free_nodes, extended=True).roots
+    extra = _EXTRA_FACTORS[iv.extra_weight_factor]
+    weights = []
+    for x in roots:
+        _, rder = eval_combo(iv.r, x)
+        sval, _ = eval_combo(iv.s, x)
+        denom = rder * sval * extra(x)
+        if not abs(denom) > 1e-300:
+            raise _degenerate(spec, x)
+        # a is exact (int or Fraction), so it enters unrounded
+        weights.append(iv.a.numerator / (iv.a.denominator * denom))
+    return roots, weights
 
 
 def assemble(spec: FamilySpec, extended: bool = False) -> ReferenceRule:
     """Compute nodes and weights for every interval of the spec's period.
 
-    Fixed endpoint nodes keep their closed-form weights and are listed
-    first (they sit at the interval's left end).  For the reflected
-    second interval of the C1 even family, the first interval's free
-    nodes are negated and re-sorted with their weights carried along.
+    Nodes and weights are floats, or mpf values at the working precision
+    when ``extended`` is set.  Fixed endpoint nodes keep their closed-form
+    weights and are listed first (they sit at the interval's left end).
+    For the reflected second interval of the C1 even family, the first
+    interval's free nodes are negated and re-sorted with their weights
+    carried along.
     """
+    real = _mpf if extended else float
+    free = _free_extended if extended else _free_double
     intervals = []
     first_free = None  # (nodes, weights) of the first interval's free part
     for iv in spec.intervals:
         nodes, weights = [], []
         if iv.fixed_node is not None:
-            nodes.append(iv.fixed_node[0])
-            weights.append(iv.fixed_node[1])
+            nodes.append(real(iv.fixed_node[0]))
+            weights.append(real(iv.fixed_node[1]))
         if iv.expected_free_nodes > 0:
-            extra = _EXTRA_FACTORS[iv.extra_weight_factor]
-            rootset = isolate_and_refine(
-                iv.r, -1, 1, iv.expected_free_nodes, extended=extended,
-            )
-            for x in rootset.roots:
-                if extended:
-                    _, rder = eval_combo(iv.r, x)
-                    sval, _ = eval_combo(iv.s, x)
-                    denom = rder * sval * extra(x)
-                    weight = _divide(iv.a, denom) if denom != 0 else None
-                else:
-                    # A couple of Newton steps at higher precision: the
-                    # double root is good to ~1e-13 near +-1, which the
-                    # weight sensitivity there would amplify past 1e-12.
-                    with mpmath.workdps(_WEIGHT_DPS):
-                        xm = mpmath.mpf(float(x))
-                        rder = None
-                        for _ in range(2):
-                            rval, rder = eval_combo(iv.r, xm)
-                            if rder == 0:
-                                break
-                            xm = xm - rval / rder
-                        sval, _ = eval_combo(iv.s, xm)
-                        denom = rder * sval * extra(xm) if rder else 0
-                        weight = float(_divide(iv.a, denom)) if denom != 0 else None
-                        x = float(xm)
-                if weight is None or abs(denom) <= 1e-300:
-                    raise DegenerateWeight(
-                        f"{spec.id.name} n={spec.n}: denominator ~ 0 at x={x}"
-                    )
-                nodes.append(x if extended else float(x))
-                weights.append(weight)
+            free_nodes, free_weights = free(spec, iv)
+            nodes += free_nodes
+            weights += free_weights
             if first_free is None:
-                first_free = (nodes[-iv.expected_free_nodes:],
-                              weights[-iv.expected_free_nodes:])
+                first_free = (free_nodes, free_weights)
         elif first_free is None:
             first_free = ([], [])
         intervals.append(RuleInterval(tuple(nodes), tuple(weights)))
@@ -143,7 +160,7 @@ def assemble(spec: FamilySpec, extended: bool = False) -> ReferenceRule:
             tuple(x for x, _ in pairs), tuple(w for _, w in pairs)))
     return ReferenceRule(
         family=spec.id, n=spec.n, degree=spec.degree,
-        intervals=tuple(intervals), delta=spec.delta,
+        intervals=tuple(intervals), delta=real(spec.delta),
     )
 
 

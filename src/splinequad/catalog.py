@@ -67,19 +67,17 @@ def build_rule(family: Family, n: int, delta_sign: int = +1,
                precision: str = "double") -> ScaledRule:
     """Build, assemble and scale a rule in one step.
 
-    precision "double" uses ordinary floats; "extended" runs the whole
-    pipeline under mpmath at EXTENDED_DPS digits (the reference tables
-    carry 25 significant digits).
+    precision "double" gives floats, the extended rule rounded to double;
+    "extended" runs the whole pipeline under mpmath at EXTENDED_DPS
+    digits (the reference tables carry 25 significant digits).
     """
-    if precision == "extended":
-        with mpmath.workdps(EXTENDED_DPS):
-            spec = build_family(family, n, delta_sign=delta_sign,
-                                precision="extended")
-            return scale_to_unit_intervals(assemble(spec, extended=True))
-    if precision != "double":
+    if precision not in ("double", "extended"):
         raise ValueError(f"unknown precision {precision!r}")
     spec = build_family(family, n, delta_sign=delta_sign)
-    return scale_to_unit_intervals(assemble(spec))
+    if precision == "double":
+        return scale_to_unit_intervals(assemble(spec))
+    with mpmath.workdps(EXTENDED_DPS):
+        return scale_to_unit_intervals(assemble(spec, extended=True))
 
 
 def build_rule_by_degree(smoothness: int, degree: int, variant: str | None = None,

@@ -25,7 +25,6 @@ C1 even      2n      2         endpoint + (n-1) nodes, mirrored interval
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -34,7 +33,8 @@ import mpmath
 
 from .gegenbauer import GegenbauerCombo
 
-# dps used whenever a rule is built on the extended-precision path
+# dps of every coefficient that involves delta, and of the whole
+# extended-precision path
 EXTENDED_DPS = 50
 
 # extra factors multiplying R'(x) * S(x) in the weight denominators
@@ -71,8 +71,8 @@ class IntervalSpec:
 
     r: GegenbauerCombo
     s: GegenbauerCombo
-    a: object  # normalization constant (int, float or mpf)
-    fixed_node: Optional[tuple]  # (x, w) or None
+    a: object  # normalization constant, exact (int or Fraction)
+    fixed_node: Optional[tuple]  # (x, w) or None; x an int, w exact or mpf
     extra_weight_factor: str
     expected_free_nodes: int
 
@@ -84,7 +84,7 @@ class FamilySpec:
     id: Family
     n: int
     degree: int
-    delta: object  # 0 when the family has no delta
+    delta: object  # mpf at EXTENDED_DPS; 0 when the family has no delta
     delta_radicand: Optional[Fraction]
     delta_sign: int
     period_intervals: int
@@ -92,19 +92,16 @@ class FamilySpec:
     second_interval_by_reflection: bool = False
 
 
-def _sqrt(radicand: Fraction, sign: int, precision: str):
-    """Square root of an exact rational radicand, in the requested flavor."""
-    if precision == "extended":
-        num = mpmath.mpf(radicand.numerator)
-        den = mpmath.mpf(radicand.denominator)
-        return sign * mpmath.sqrt(num / den)
-    return sign * math.sqrt(radicand.numerator / radicand.denominator)
+def _sqrt(radicand: Fraction, sign: int):
+    """sign * sqrt(radicand) at the working precision.
 
-
-def _real(value: Fraction, precision: str):
-    if precision == "extended":
-        return mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
-    return float(value)
+    The builders that call this run at EXTENDED_DPS, so delta and every
+    coefficient computed from it are mpf values at that precision; all
+    other coefficients are exact ints or Fractions.
+    """
+    num = mpmath.mpf(radicand.numerator)
+    den = mpmath.mpf(radicand.denominator)
+    return sign * mpmath.sqrt(num / den)
 
 
 def _check_n(n: int, minimum: int, family: str):
@@ -112,7 +109,7 @@ def _check_n(n: int, minimum: int, family: str):
         raise ValueError(f"{family} requires n >= {minimum}, got n = {n}")
 
 
-def build_c0_odd(n: int, precision: str = "double") -> FamilySpec:
+def build_c0_odd(n: int) -> FamilySpec:
     """C0, odd degree D = 2n - 1, periodic over two intervals.
 
     First interval: R_n = n^2 C_n - (n+1)^2 C_{n-2} with n free nodes;
@@ -143,7 +140,8 @@ def build_c0_odd(n: int, precision: str = "double") -> FamilySpec:
     )
 
 
-def build_c0_even(n: int, delta_sign: int = +1, precision: str = "double") -> FamilySpec:
+@mpmath.workdps(EXTENDED_DPS)
+def build_c0_even(n: int, delta_sign: int = +1) -> FamilySpec:
     """C0, even degree D = 2n, periodic over one interval.
 
     delta = sqrt((n+2)/n); both signs are admissible and give mirror-image
@@ -154,7 +152,7 @@ def build_c0_even(n: int, delta_sign: int = +1, precision: str = "double") -> Fa
         raise ValueError("delta_sign must be +1 or -1")
     a = 1.5
     radicand = Fraction(n + 2, n)
-    delta = _sqrt(radicand, delta_sign, precision)
+    delta = _sqrt(radicand, delta_sign)
     interval = IntervalSpec(
         r=GegenbauerCombo.build(a, [(n, 1), (n - 1, delta)]),
         s=GegenbauerCombo.build(
@@ -173,7 +171,7 @@ def build_c0_even(n: int, delta_sign: int = +1, precision: str = "double") -> Fa
     )
 
 
-def build_c1_endpoint(n: int, precision: str = "double") -> FamilySpec:
+def build_c1_endpoint(n: int) -> FamilySpec:
     """C1, odd degree D = 2n + 1, one interval, with a node at x = -1.
 
     The free nodes are the roots of C_{n-1}^(5/2); the endpoint weight has
@@ -183,12 +181,11 @@ def build_c1_endpoint(n: int, precision: str = "double") -> FamilySpec:
     _check_n(n, 1, "C1 endpoint")
     a = 2.5
     w1 = Fraction(16 * (2 * n * n + 6 * n + 1), 3 * n * (n + 1) * (n + 2) * (n + 3))
-    one = 1 if precision == "double" else mpmath.mpf(1)
     interval = IntervalSpec(
         r=GegenbauerCombo.build(a, [(n - 1, 1)]),
         s=GegenbauerCombo.build(a, [(n - 2, 1)]),
         a=Fraction(2 * n * (n + 1) * (n + 2), 9),
-        fixed_node=(-one, _real(w1, precision)),
+        fixed_node=(-1, w1),
         extra_weight_factor=FACTOR_C1_ENDPOINT,
         expected_free_nodes=n - 1,
     )
@@ -199,7 +196,8 @@ def build_c1_endpoint(n: int, precision: str = "double") -> FamilySpec:
     )
 
 
-def build_c1_interior(n: int, delta_sign: int = +1, precision: str = "double") -> FamilySpec:
+@mpmath.workdps(EXTENDED_DPS)
+def build_c1_interior(n: int, delta_sign: int = +1) -> FamilySpec:
     """C1, odd degree D = 2n + 1, one interval, all nodes interior.
 
     delta = sqrt(3(n^2 + 3n - 1) / (n (n+3))), positive root only: the
@@ -216,12 +214,11 @@ def build_c1_interior(n: int, delta_sign: int = +1, precision: str = "double") -
         raise ValueError("delta_sign must be +1 or -1")
     a = 2.5
     if n == 1:
-        zero = 0.0 if precision == "double" else mpmath.mpf(0)
         interval = IntervalSpec(
             r=GegenbauerCombo.build(a, []),
             s=GegenbauerCombo.build(a, []),
             a=1,
-            fixed_node=(zero, 2 + zero),
+            fixed_node=(0, 2),
             extra_weight_factor=FACTOR_ONE,
             expected_free_nodes=0,
         )
@@ -231,7 +228,7 @@ def build_c1_interior(n: int, delta_sign: int = +1, precision: str = "double") -
             period_intervals=1, intervals=(interval,),
         )
     radicand = Fraction(3 * (n * n + 3 * n - 1), n * (n + 3))
-    delta = _sqrt(radicand, delta_sign, precision)
+    delta = _sqrt(radicand, delta_sign)
     q1 = 2 * n * n + 6 * n + 1
     interval = IntervalSpec(
         r=GegenbauerCombo.build(
@@ -270,7 +267,8 @@ def _one_plus_x2(c):
     return (c, 0, c)
 
 
-def build_c1_even(n: int, precision: str = "double") -> FamilySpec:
+@mpmath.workdps(EXTENDED_DPS)
+def build_c1_even(n: int) -> FamilySpec:
     """C1, even degree D = 2n, periodic over two intervals ("1/2 rule").
 
     First interval: node at -1 with a closed-form weight plus the n - 1
@@ -280,14 +278,13 @@ def build_c1_even(n: int, precision: str = "double") -> FamilySpec:
     _check_n(n, 2, "C1 even")
     a = 2.5
     radicand = Fraction(3 * n * (n + 2) * (n * n + 2 * n - 2))
-    delta = _sqrt(radicand, +1, precision)
+    delta = _sqrt(radicand, +1)
     q = 2 * n * n + 2 * n - 3
     w1 = (
         8 * (2 * n * n + 4 * n - 3)
         * (2 * n ** 4 + 8 * n ** 3 + 4 * n * n - 8 * n - 3 - delta)
         / (3 * (n - 1) * n * (n + 2) * (n + 3) * (n * n + 2 * n - 2) * (n + 1) ** 2)
     )
-    one = 1 if precision == "double" else mpmath.mpf(1)
     first = IntervalSpec(
         r=GegenbauerCombo.build(
             a,
@@ -304,7 +301,7 @@ def build_c1_even(n: int, precision: str = "double") -> FamilySpec:
             ],
         ),
         a=Fraction(2 * (n - 1) * n * (n + 1) * (n + 2) * (2 * n + 1) * q * q, 9),
-        fixed_node=(-one, w1),
+        fixed_node=(-1, w1),
         extra_weight_factor=FACTOR_C1_EVEN,
         expected_free_nodes=n - 1,
     )
@@ -325,10 +322,9 @@ _BUILDERS = {
 }
 
 
-def build_family(family: Family, n: int, delta_sign: int = +1,
-                 precision: str = "double") -> FamilySpec:
+def build_family(family: Family, n: int, delta_sign: int = +1) -> FamilySpec:
     """Dispatch to the family's builder, forwarding delta_sign where it applies."""
     builder = _BUILDERS[family]
     if family in (Family.C0_EVEN, Family.C1_ODD_INTERIOR):
-        return builder(n, delta_sign=delta_sign, precision=precision)
-    return builder(n, precision=precision)
+        return builder(n, delta_sign=delta_sign)
+    return builder(n)

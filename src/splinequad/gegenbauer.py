@@ -4,11 +4,12 @@ All rule families in this package are expressed through Gegenbauer
 polynomials C_n^(alpha) of half-integer order (alpha = 3/2 for the C0
 rules, 5/2 for the C1 rules, 7/2 for derivatives).  Evaluation is by the
 forward three-term recurrence, which is stable for the degrees and
-arguments used here (n <= ~50, x in [-1, 1]).
+arguments used here (n <= 200, x in [-1, 1]).
 
 The functions are written generically: x may be a float, an mpmath mpf
-(for the extended-precision path) or a numpy array, and the same code
-path serves all three.
+(for the extended-precision path), a numpy array, or a double-double
+array (:class:`splinequad.doubledouble.DD`, for the weight kernel), and
+the same code path serves all of them.
 """
 
 from __future__ import annotations
@@ -71,6 +72,12 @@ class GegenbauerCombo:
             cleaned.append((degree, coeff))
         return cls(alpha, tuple(cleaned))
 
+    def map(self, convert) -> "GegenbauerCombo":
+        """The same combo with every coefficient passed through convert
+        (e.g. ``float``, or a double-double constructor)."""
+        return GegenbauerCombo(self.alpha, tuple(
+            (d, tuple(convert(c) for c in coeff)) for d, coeff in self.terms))
+
     @property
     def degree(self) -> int:
         """Degree as an ordinary polynomial; -1 for the empty combo.
@@ -97,16 +104,32 @@ class GegenbauerCombo:
 def eval_combo(p: GegenbauerCombo, x):
     """Evaluate a combo and its derivative in one pass.
 
-    Returns (value, derivative); the derivative applies the product rule
-    to the coefficient polynomials.  The empty combo gives (0, 0).
+    One run of the three-term recurrence, differentiated term by term,
+    gives C_k and C'_k for every k up to the top degree:
+
+        k C_k  = 2 (k + alpha - 1) x C_{k-1} - (k + 2 alpha - 2) C_{k-2}
+        k C'_k = 2 (k + alpha - 1) (C_{k-1} + x C'_{k-1})
+                 - (k + 2 alpha - 2) C'_{k-2}
+
+    starting from C_{-1} = 0, C_0 = 1.  Returns (value, derivative); the
+    derivative applies the product rule to the coefficient polynomials.
+    The empty combo gives (0, 0).
     """
-    val = 0 * x
-    der = 0 * x
+    wanted = {}
+    for d, coeff in p.terms:
+        wanted.setdefault(d, []).append(coeff)
     alpha = p.alpha
-    for d, (c0, c1, c2) in p.terms:
-        coeff = c0 + (c1 + c2 * x) * x
-        dcoeff = c1 + 2 * c2 * x
-        g = eval_gegenbauer(alpha, d, x)
-        val = val + coeff * g
-        der = der + dcoeff * g + coeff * eval_gegenbauer_derivative(alpha, d, x)
+    val = der = c_prev = dc = dc_prev = 0 * x
+    c = 1 + val
+    for k in range(max(wanted, default=-1) + 1):
+        if k:
+            a, b = 2 * (k + alpha - 1), k + 2 * alpha - 2
+            c, c_prev, dc, dc_prev = (
+                (a * x * c - b * c_prev) / k, c,
+                (a * (c + x * dc) - b * dc_prev) / k, dc,
+            )
+        for c0, c1, c2 in wanted.get(k, ()):
+            coeff = c0 + (c1 + c2 * x) * x
+            val = val + coeff * c
+            der = der + (c1 + 2 * c2 * x) * c + coeff * dc
     return val, der

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import mpmath
 import pytest
 
 from splinequad.assembly import (
+    DegenerateWeight,
     assemble,
     replicate_periodically,
     scale_to_unit_intervals,
@@ -11,13 +13,17 @@ from splinequad.assembly import (
 from splinequad.catalog import build_rule
 from splinequad.families import (
     EXTENDED_DPS,
+    FACTOR_ONE,
     Family,
+    FamilySpec,
+    IntervalSpec,
     build_c0_odd,
     build_c1_endpoint,
     build_c1_even,
     build_c1_interior,
     build_family,
 )
+from splinequad.gegenbauer import GegenbauerCombo
 
 from conftest import cached_rule, family_range
 
@@ -82,6 +88,23 @@ class TestAssemble:
         b = assemble(build_c1_even(7))
         assert a == b
 
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_vanishing_denominator_raises_with_context(self, extended):
+        # R = C_1 = 3x has its root at 0, where S = x vanishes too
+        interval = IntervalSpec(
+            r=GegenbauerCombo.build(1.5, [(1, 1)]),
+            s=GegenbauerCombo.build(1.5, [(0, (0, 1, 0))]),
+            a=1, fixed_node=None, extra_weight_factor=FACTOR_ONE,
+            expected_free_nodes=1,
+        )
+        spec = FamilySpec(
+            id=Family.C0_ODD, n=1, degree=1, delta=0, delta_radicand=None,
+            delta_sign=0, period_intervals=1, intervals=(interval,),
+        )
+        with mpmath.workdps(EXTENDED_DPS):
+            with pytest.raises(DegenerateWeight, match=r"C0_ODD n=1: .* at x=0"):
+                assemble(spec, extended=extended)
+
 
 class TestScaling:
     def test_unit_interval_mapping(self):
@@ -135,15 +158,17 @@ class TestReplication:
 
 class TestExtendedPrecision:
     def test_matches_double_build(self):
-        for family in Family:
-            n = 4 if family is not Family.C1_EVEN else 4
+        # the double build is the extended build rounded to double: weights
+        # within one ulp, nodes within one rounding of the scaled position
+        for family, n in itertools.product(Family, (4, 16, 24)):
             double = cached_rule(family, n)
             extended = build_rule(family, n, precision="extended")
             for div, eiv in zip(double.intervals, extended.intervals):
+                assert len(div.nodes) == len(eiv.nodes)
                 for xd, xe in zip(div.nodes, eiv.nodes):
-                    assert abs(xd - float(xe)) < 1e-13
+                    assert abs(xd - float(xe)) <= 2.3e-16, (family, n)
                 for wd, we in zip(div.weights, eiv.weights):
-                    assert abs(wd - float(we)) < 1e-13
+                    assert abs(wd - float(we)) <= math.ulp(float(we)), (family, n)
 
     def test_weight_sum_to_working_precision(self):
         rule = build_rule(Family.C1_ODD_ENDPOINT, 6, precision="extended")

@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from splinequad.families import (
+    EXTENDED_DPS,
     FACTOR_C1_ENDPOINT,
     FACTOR_C1_EVEN,
     FACTOR_ONE,
@@ -68,7 +70,8 @@ class TestC0Even:
     def test_minus_sign_flips_delta(self):
         plus = build_c0_even(3, delta_sign=+1)
         minus = build_c0_even(3, delta_sign=-1)
-        assert minus.delta == -plus.delta
+        with mpmath.workdps(EXTENDED_DPS):  # delta carries 50 digits
+            assert minus.delta == -plus.delta
         assert plus.delta == pytest.approx(math.sqrt(5 / 3))
 
     def test_delta_radicand_exact(self):

@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import eval_gegenbauer as scipy_gegenbauer
 
 from splinequad.gegenbauer import (
     GegenbauerCombo,
@@ -95,6 +97,44 @@ class TestDerivative:
                       - eval_gegenbauer(alpha, n, x - h)) / (2 * h)
                 got = eval_gegenbauer_derivative(alpha, n, x)
                 assert got == pytest.approx(fd, rel=1e-7, abs=1e-7)
+
+
+class TestSinglePassCombo:
+    """eval_combo's one differentiated recurrence against references that
+    share none of its code: scipy for doubles, mpmath for mpf, and the
+    order-raising identity d/dx C_n^(alpha) = 2 alpha C_{n-1}^(alpha+1)
+    for the derivative."""
+
+    DEGREES = [0, 1, 2, 3, 9, 30, 50, 81, 140, 200]
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.5])
+    def test_float_and_array_match_scipy(self, alpha):
+        x = np.linspace(-1, 1, 101)
+        for n in self.DEGREES:
+            p = GegenbauerCombo.build(alpha, [(n, 1)])
+            val, der = eval_combo(p, x)
+            ref_val = scipy_gegenbauer(n, alpha, x)
+            ref_der = 2 * alpha * scipy_gegenbauer(n - 1, alpha + 1, x) if n else 0 * x
+            # forward recurrence: error within 4 (n + 1) ulps of the largest value
+            tol = 4 * (n + 1) * np.finfo(float).eps
+            assert np.max(np.abs(val - ref_val)) <= tol * np.max(np.abs(ref_val)), n
+            assert np.max(np.abs(der - ref_der)) <= tol * max(1.0, np.max(np.abs(ref_der))), n
+            for i in (0, 17, 50, 88, 100):  # the scalar path does the same arithmetic
+                assert eval_combo(p, float(x[i])) == (val[i], der[i])
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.5])
+    def test_mpf_matches_mpmath(self, alpha):
+        with mpmath.workdps(30):
+            for n in self.DEGREES:
+                p = GegenbauerCombo.build(alpha, [(n, 1)])
+                scale = mpmath.gegenbauer(n, alpha, 1)  # the largest value
+                for x in ("-1", "-0.93", "0.1", "0.77", "1"):
+                    x = mpmath.mpf(x)
+                    val, der = eval_combo(p, x)
+                    assert isinstance(val, mpmath.mpf) and isinstance(der, mpmath.mpf)
+                    assert abs(val - mpmath.gegenbauer(n, alpha, x)) <= 1e-27 * scale
+                    ref_der = 2 * alpha * mpmath.gegenbauer(n - 1, alpha + 1, x) if n else 0
+                    assert abs(der - ref_der) <= 1e-27 * scale * (n * n + 1)
 
 
 class TestCombo:
