@@ -28,7 +28,7 @@ from .families import (
     FamilySpec,
 )
 from .gegenbauer import eval_combo
-from .rootfind import isolate_and_refine
+from .rootfind import CountMismatch, PolishFailed, isolate_and_refine
 
 
 class DegenerateWeight(Exception):
@@ -78,11 +78,7 @@ def _mpf(value):
     return mpmath.mpf(value)
 
 
-def _degenerate(spec: FamilySpec, x):
-    return DegenerateWeight(f"{spec.id.name} n={spec.n}: denominator ~ 0 at x={x}")
-
-
-def _free_double(spec: FamilySpec, iv) -> tuple:
+def _free_double(iv) -> tuple:
     """Free nodes and weights of one interval, rounded to double.
 
     The roots are isolated and refined in double on the float combo.  The
@@ -94,8 +90,7 @@ def _free_double(spec: FamilySpec, iv) -> tuple:
     at the polished nodes, and a single rounding of each node and weight
     at the end.
     """
-    roots = isolate_and_refine(
-        iv.r.map(float), -1, 1, iv.expected_free_nodes).roots
+    roots = isolate_and_refine(iv.r, -1, 1, iv.expected_free_nodes).roots
     r, s = iv.r.map(DD.of), iv.s.map(DD.of)
     x = DD(np.array(roots))
     rval, rder = eval_combo(r, x)
@@ -105,11 +100,11 @@ def _free_double(spec: FamilySpec, iv) -> tuple:
     denom = rder * sval * _EXTRA_FACTORS[iv.extra_weight_factor](x)
     bad = ~np.isfinite(denom.hi) | (np.abs(denom.hi) <= 1e-300)
     if bad.any():
-        raise _degenerate(spec, x.hi[bad][0])
+        raise DegenerateWeight(f"denominator ~ 0 at x={x.hi[bad][0]}")
     return x.rounded().tolist(), (DD.of(iv.a) / denom).rounded().tolist()
 
 
-def _free_extended(spec: FamilySpec, iv) -> tuple:
+def _free_extended(iv) -> tuple:
     """Free nodes and weights of one interval at the working precision."""
     roots = isolate_and_refine(
         iv.r, -1, 1, iv.expected_free_nodes, extended=True).roots
@@ -120,7 +115,7 @@ def _free_extended(spec: FamilySpec, iv) -> tuple:
         sval, _ = eval_combo(iv.s, x)
         denom = rder * sval * extra(x)
         if not abs(denom) > 1e-300:
-            raise _degenerate(spec, x)
+            raise DegenerateWeight(f"denominator ~ 0 at x={x}")
         # a is exact (int or Fraction), so it enters unrounded
         weights.append(iv.a.numerator / (iv.a.denominator * denom))
     return roots, weights
@@ -146,7 +141,10 @@ def assemble(spec: FamilySpec, extended: bool = False) -> ReferenceRule:
             nodes.append(real(iv.fixed_node[0]))
             weights.append(real(iv.fixed_node[1]))
         if iv.expected_free_nodes > 0:
-            free_nodes, free_weights = free(spec, iv)
+            try:
+                free_nodes, free_weights = free(iv)
+            except (CountMismatch, DegenerateWeight, PolishFailed) as exc:
+                raise type(exc)(f"{spec.id.name} n={spec.n}: {exc}") from exc
             nodes += free_nodes
             weights += free_weights
             if first_free is None:

@@ -17,50 +17,27 @@ from .families import EXTENDED_DPS, Family, build_family
 def family_for(smoothness: int, degree: int, variant: str | None = None):
     """Resolve (smoothness class, degree, variant) to (Family, n).
 
-    Raises ValueError for combinations outside the catalog: degrees below
-    the family minimum, or a variant request where none exists (variants
-    only apply to C1 odd degrees).
+    Raises ValueError for combinations outside the catalog: a class,
+    parity and variant that name no family (variants only apply to C1 odd
+    degrees, where the default is the endpoint rule), or n outside the
+    family's supported range (:meth:`Family.check_n`).
     """
-    if smoothness not in (0, 1):
-        raise ValueError("smoothness class must be 0 or 1")
-    odd = degree % 2 == 1
-    if smoothness == 0:
-        if variant is not None:
-            raise ValueError("variants exist only for C1 odd degrees")
-        if odd:
-            if degree < 1:
-                raise ValueError("C0 odd degree must be >= 1")
-            return Family.C0_ODD, (degree + 1) // 2
-        if degree < 2:
-            raise ValueError("C0 even degree must be >= 2")
-        return Family.C0_EVEN, degree // 2
-    if odd:
-        if degree < 3:
-            raise ValueError("C1 odd degree must be >= 3")
-        n = (degree - 1) // 2
-        if variant in (None, "endpoint"):
-            return Family.C1_ODD_ENDPOINT, n
-        if variant == "interior":
-            return Family.C1_ODD_INTERIOR, n
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant is not None:
-        raise ValueError("variants exist only for C1 odd degrees")
-    if degree < 4:
-        raise ValueError("C1 even degree must be >= 4")
-    return Family.C1_EVEN, degree // 2
+    parity = "odd" if degree % 2 else "even"
+    if variant is None:
+        variant = "endpoint" if (smoothness, parity) == (1, "odd") else "default"
+    try:
+        family = Family((f"c{smoothness}", parity, variant))
+    except ValueError:
+        raise ValueError(f"no family for class {smoothness}, {parity} degree, "
+                         f"variant {variant!r}") from None
+    n = (degree - family.degree(0)) // 2
+    family.check_n(n)
+    return family, n
 
 
 def rule_id(family: Family, n: int) -> str:
     """Catalog name, e.g. C0xD5, C1xD7x2."""
-    degree = {
-        Family.C0_ODD: 2 * n - 1,
-        Family.C0_EVEN: 2 * n,
-        Family.C1_ODD_ENDPOINT: 2 * n + 1,
-        Family.C1_ODD_INTERIOR: 2 * n + 1,
-        Family.C1_EVEN: 2 * n,
-    }[family]
-    suffix = "x2" if family is Family.C1_ODD_INTERIOR else ""
-    return f"C{family.smoothness}xD{degree}{suffix}"
+    return f"C{family.smoothness}xD{family.degree(n)}{family.id_suffix}"
 
 
 def build_rule(family: Family, n: int, delta_sign: int = +1,

@@ -21,7 +21,7 @@ import sys
 import mpmath
 
 from .catalog import build_rule, family_for, rule_id
-from .families import Family
+from .families import MAX_N, Family
 from .splinecheck import check_exactness, compare_golden, load_golden_tables
 
 EXIT_OK = 0
@@ -88,17 +88,9 @@ def rule_to_maple(rule) -> str:
 _FORMATTERS = {"json": rule_to_json, "csv": rule_to_csv, "maple": rule_to_maple}
 
 
-def _resolve_family(args):
-    smoothness = 0 if args.cls == "c0" else 1
-    variant = getattr(args, "variant", None)
-    if variant == "both":
-        variant = None
-    return family_for(smoothness, args.degree, variant)
-
-
 def cmd_generate(args) -> int:
     try:
-        family, n = _resolve_family(args)
+        family, n = family_for(0 if args.cls == "c0" else 1, args.degree, args.variant)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -121,24 +113,13 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-# family -> (smallest n, n for one full catalog sweep at D <= 25)
-_VERIFY_RANGES = {
-    Family.C0_ODD: 1,
-    Family.C0_EVEN: 1,
-    Family.C1_ODD_ENDPOINT: 1,
-    Family.C1_ODD_INTERIOR: 1,
-    Family.C1_EVEN: 2,
-}
-
-
 def _verify_golden(tol: float) -> bool:
     tables = load_golden_tables()
     ok = True
     worst_id, worst = None, -1.0
     for rid in sorted(tables):
         golden = tables[rid]
-        variant = golden.variant if golden.variant != "default" else None
-        family, n = family_for(golden.smoothness, golden.degree, variant)
+        family, n = family_for(golden.smoothness, golden.degree, golden.variant)
         dev = compare_golden(build_rule(family, n), golden)
         status = "ok" if dev <= tol else "FAIL"
         ok &= dev <= tol
@@ -151,9 +132,9 @@ def _verify_golden(tol: float) -> bool:
 
 def _verify_exactness(max_n: int, tol: float) -> bool:
     ok = True
-    for family, n_min in _VERIFY_RANGES.items():
+    for family in Family:
         worst_n, worst = None, -1.0
-        for n in range(n_min, max_n + 1):
+        for n in range(family.min_n, max_n + 1):
             rule = build_rule(family, n)
             report = check_exactness(rule)
             if report.max_abs_error > worst:
@@ -166,6 +147,11 @@ def _verify_exactness(max_n: int, tol: float) -> bool:
 
 
 def cmd_verify(args) -> int:
+    # below the largest family minimum, a family would have no rule to check
+    lowest = max(family.min_n for family in Family)
+    if not lowest <= args.max_n <= MAX_N:
+        print(f"error: --max-n must lie in {lowest}..{MAX_N}", file=sys.stderr)
+        return EXIT_USAGE
     ok = True
     if args.scope in ("golden", "all"):
         ok &= _verify_golden(args.golden_tol)

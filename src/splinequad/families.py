@@ -37,6 +37,9 @@ from .gegenbauer import GegenbauerCombo
 # extended-precision path
 EXTENDED_DPS = 50
 
+# largest supported n in every family, in both precisions
+MAX_N = 200
+
 # extra factors multiplying R'(x) * S(x) in the weight denominators
 FACTOR_ONE = "one"
 FACTOR_C1_ENDPOINT = "(1-x^2)^2"
@@ -63,6 +66,27 @@ class Family(enum.Enum):
     @property
     def variant(self) -> str:
         return self.value[2]
+
+    @property
+    def min_n(self) -> int:
+        """Smallest valid n; the C1 even formulas need n >= 2."""
+        return 2 if self is Family.C1_EVEN else 1
+
+    def degree(self, n: int) -> int:
+        """Polynomial degree of exactness of the rule with index n."""
+        if self.parity == "even":
+            return 2 * n
+        return 2 * n - 1 if self.smoothness == 0 else 2 * n + 1
+
+    @property
+    def id_suffix(self) -> str:
+        """Suffix of the catalog id: x2 marks the interior variant."""
+        return "x2" if self.variant == "interior" else ""
+
+    def check_n(self, n: int):
+        """Raise a ValueError naming the family and n outside min_n..MAX_N."""
+        if not self.min_n <= n <= MAX_N:
+            raise ValueError(f"{self.name} n={n}: outside {self.min_n} <= n <= {MAX_N}")
 
 
 @dataclass(frozen=True)
@@ -104,18 +128,13 @@ def _sqrt(radicand: Fraction, sign: int):
     return sign * mpmath.sqrt(num / den)
 
 
-def _check_n(n: int, minimum: int, family: str):
-    if n < minimum:
-        raise ValueError(f"{family} requires n >= {minimum}, got n = {n}")
-
-
 def build_c0_odd(n: int) -> FamilySpec:
     """C0, odd degree D = 2n - 1, periodic over two intervals.
 
     First interval: R_n = n^2 C_n - (n+1)^2 C_{n-2} with n free nodes;
     second interval: R_{n-1} = C_{n-1} with n - 1 free nodes.  Order 3/2.
     """
-    _check_n(n, 1, "C0 odd")
+    Family.C0_ODD.check_n(n)
     a = 1.5
     first = IntervalSpec(
         r=GegenbauerCombo.build(a, [(n, n * n), (n - 2, -((n + 1) ** 2))]),
@@ -134,7 +153,7 @@ def build_c0_odd(n: int) -> FamilySpec:
         expected_free_nodes=n - 1,
     )
     return FamilySpec(
-        id=Family.C0_ODD, n=n, degree=2 * n - 1,
+        id=Family.C0_ODD, n=n, degree=Family.C0_ODD.degree(n),
         delta=0, delta_radicand=None, delta_sign=0,
         period_intervals=2, intervals=(first, second),
     )
@@ -147,7 +166,7 @@ def build_c0_even(n: int, delta_sign: int = +1) -> FamilySpec:
     delta = sqrt((n+2)/n); both signs are admissible and give mirror-image
     rules.  The default + sign matches the reference tables.
     """
-    _check_n(n, 1, "C0 even")
+    Family.C0_EVEN.check_n(n)
     if delta_sign not in (+1, -1):
         raise ValueError("delta_sign must be +1 or -1")
     a = 1.5
@@ -165,7 +184,7 @@ def build_c0_even(n: int, delta_sign: int = +1) -> FamilySpec:
         expected_free_nodes=n,
     )
     return FamilySpec(
-        id=Family.C0_EVEN, n=n, degree=2 * n,
+        id=Family.C0_EVEN, n=n, degree=Family.C0_EVEN.degree(n),
         delta=delta, delta_radicand=radicand, delta_sign=delta_sign,
         period_intervals=1, intervals=(interval,),
     )
@@ -178,7 +197,7 @@ def build_c1_endpoint(n: int) -> FamilySpec:
     its own closed form and the free-node denominators carry the extra
     factor (1 - x^2)^2.
     """
-    _check_n(n, 1, "C1 endpoint")
+    Family.C1_ODD_ENDPOINT.check_n(n)
     a = 2.5
     w1 = Fraction(16 * (2 * n * n + 6 * n + 1), 3 * n * (n + 1) * (n + 2) * (n + 3))
     interval = IntervalSpec(
@@ -190,7 +209,7 @@ def build_c1_endpoint(n: int) -> FamilySpec:
         expected_free_nodes=n - 1,
     )
     return FamilySpec(
-        id=Family.C1_ODD_ENDPOINT, n=n, degree=2 * n + 1,
+        id=Family.C1_ODD_ENDPOINT, n=n, degree=Family.C1_ODD_ENDPOINT.degree(n),
         delta=0, delta_radicand=None, delta_sign=0,
         period_intervals=1, intervals=(interval,),
     )
@@ -209,7 +228,7 @@ def build_c1_interior(n: int, delta_sign: int = +1) -> FamilySpec:
     the limiting rule is the midpoint rule: single node 0 with weight 2 on
     [-1, 1].  That case is hard-coded.
     """
-    _check_n(n, 1, "C1 interior")
+    Family.C1_ODD_INTERIOR.check_n(n)
     if delta_sign not in (+1, -1):
         raise ValueError("delta_sign must be +1 or -1")
     a = 2.5
@@ -223,7 +242,7 @@ def build_c1_interior(n: int, delta_sign: int = +1) -> FamilySpec:
             expected_free_nodes=0,
         )
         return FamilySpec(
-            id=Family.C1_ODD_INTERIOR, n=1, degree=3,
+            id=Family.C1_ODD_INTERIOR, n=1, degree=Family.C1_ODD_INTERIOR.degree(1),
             delta=0, delta_radicand=None, delta_sign=delta_sign,
             period_intervals=1, intervals=(interval,),
         )
@@ -256,7 +275,7 @@ def build_c1_interior(n: int, delta_sign: int = +1) -> FamilySpec:
         expected_free_nodes=n,
     )
     return FamilySpec(
-        id=Family.C1_ODD_INTERIOR, n=n, degree=2 * n + 1,
+        id=Family.C1_ODD_INTERIOR, n=n, degree=Family.C1_ODD_INTERIOR.degree(n),
         delta=delta, delta_radicand=radicand, delta_sign=delta_sign,
         period_intervals=1, intervals=(interval,),
     )
@@ -275,7 +294,7 @@ def build_c1_even(n: int) -> FamilySpec:
     roots of R_{n-1}, denominators carrying (1 + x)(1 - x)^2.  The second
     interval is the first's free nodes reflected at 0, same weights.
     """
-    _check_n(n, 2, "C1 even")
+    Family.C1_EVEN.check_n(n)
     a = 2.5
     radicand = Fraction(3 * n * (n + 2) * (n * n + 2 * n - 2))
     delta = _sqrt(radicand, +1)
@@ -306,7 +325,7 @@ def build_c1_even(n: int) -> FamilySpec:
         expected_free_nodes=n - 1,
     )
     return FamilySpec(
-        id=Family.C1_EVEN, n=n, degree=2 * n,
+        id=Family.C1_EVEN, n=n, degree=Family.C1_EVEN.degree(n),
         delta=delta, delta_radicand=radicand, delta_sign=+1,
         period_intervals=2, intervals=(first,),
         second_interval_by_reflection=True,

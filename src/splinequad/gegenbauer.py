@@ -118,12 +118,16 @@ def eval_combo(p: GegenbauerCombo, x):
     wanted = {}
     for d, coeff in p.terms:
         wanted.setdefault(d, []).append(coeff)
-    alpha = p.alpha
+    # 2 alpha is 3 or 5 in every family: int constants spare mpf and
+    # double-double products a float conversion and change no result
+    two_alpha = 2 * p.alpha
+    if float(two_alpha).is_integer():
+        two_alpha = int(two_alpha)
     val = der = c_prev = dc = dc_prev = 0 * x
     c = 1 + val
     for k in range(max(wanted, default=-1) + 1):
         if k:
-            a, b = 2 * (k + alpha - 1), k + 2 * alpha - 2
+            a, b = 2 * k + two_alpha - 2, k + two_alpha - 2
             c, c_prev, dc, dc_prev = (
                 (a * x * c - b * c_prev) / k, c,
                 (a * (c + x * dc) - b * dc_prev) / k, dc,

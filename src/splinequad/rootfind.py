@@ -7,6 +7,10 @@ Chebyshev-distributed scan grid, which clusters points near the interval
 ends where several families crowd their roots; a uniform grid starts
 missing brackets there at high degree.
 
+Isolation and refinement always run in double.  The extended path then
+polishes each double root with two or three Newton steps at the working
+precision (:func:`polish_root`); no scan or bisection runs in mpmath.
+
 A companion-matrix eigenvalue path was deliberately not used: the combos
 are cheap to evaluate through the recurrence and the root counts are
 known a priori, so bracketing plus safeguarded Newton is simpler and
@@ -15,13 +19,14 @@ equally accurate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
 from .gegenbauer import GegenbauerCombo, eval_combo
+
+POLISH_STEPS = 6  # cap on the Newton steps of the extended polish
 
 
 class CountMismatch(Exception):
@@ -35,6 +40,10 @@ class NoSignChange(Exception):
     """The supplied bracket does not straddle a sign change."""
 
 
+class PolishFailed(Exception):
+    """Newton at the working precision did not settle a double root."""
+
+
 @dataclass(frozen=True)
 class RootSet:
     roots: tuple
@@ -42,55 +51,35 @@ class RootSet:
     interval: tuple
 
 
-def _chebyshev_grid(lo, hi, m: int, extended: bool):
+def _chebyshev_grid(lo: float, hi: float, m: int) -> list:
     """m points on [lo, hi] clustered at the ends, sorted ascending."""
-    mid = (lo + hi) / 2
-    half = (hi - lo) / 2
-    if extended:
-        pi = mpmath.pi
-        return [mid - half * mpmath.cos(pi * k / (m - 1)) for k in range(m)]
     k = np.arange(m)
-    return list(mid - half * np.cos(np.pi * k / (m - 1)))
+    return list((lo + hi) / 2 - (hi - lo) / 2 * np.cos(np.pi * k / (m - 1)))
 
 
-def _scan(p: GegenbauerCombo, grid):
-    """Split the grid into exact zeros and sign-change brackets."""
-    if isinstance(grid[0], float):
-        values = eval_combo(p, np.asarray(grid))[0]
-        values = list(np.atleast_1d(values))
-    else:
-        values = [eval_combo(p, x)[0] for x in grid]
-    zeros = []
+def _scan(p: GegenbauerCombo, grid) -> list:
+    """Sign-change brackets of p on the grid, ascending.  A grid point
+    where p is exactly 0 gets the bracket of its two neighbours."""
+    values = np.atleast_1d(eval_combo(p, np.asarray(grid))[0])
     brackets = []
     for i in range(len(grid) - 1):
         f0, f1 = values[i], values[i + 1]
         if f0 == 0:
-            zeros.append(grid[i])
-            continue
-        if f1 == 0:
-            continue  # picked up as f0 of the next pair
-        if (f0 > 0) != (f1 > 0):
+            brackets.append((grid[max(i - 1, 0)], grid[i + 1]))
+        elif f1 != 0 and (f0 > 0) != (f1 > 0):
             brackets.append((grid[i], grid[i + 1]))
     if values[-1] == 0:
-        zeros.append(grid[-1])
-    return zeros, brackets
+        brackets.append((grid[-2], grid[-1]))
+    return brackets
 
 
-def _default_tol(extended: bool):
-    if extended:
-        return mpmath.mpf(10) ** (5 - mpmath.mp.dps)
-    return 1e-15
-
-
-def refine_root(p: GegenbauerCombo, bracket, tol=None, extended: bool = False):
-    """Refine a single root inside a sign-change bracket.
+def refine_root(p: GegenbauerCombo, bracket, tol: float = 1e-15):
+    """Refine a single root inside a sign-change bracket, in double.
 
     Newton iteration with the derivative from :func:`eval_combo`, falling
     back to bisection whenever the Newton step leaves the bracket.
     Deterministic: identical inputs give bit-identical output.
     """
-    if tol is None:
-        tol = _default_tol(extended)
     lo, hi = bracket
     flo, _ = eval_combo(p, lo)
     fhi, _ = eval_combo(p, hi)
@@ -128,32 +117,57 @@ def refine_root(p: GegenbauerCombo, bracket, tol=None, extended: bool = False):
     return x
 
 
+def polish_root(p: GegenbauerCombo, x, bracket):
+    """Newton on p at the working precision from the double root x, until
+    a step is at most 10**(5 - dps).  Returns (root, |p| at the last
+    iterate evaluated); an iterate outside the bracket, p' = 0 or running
+    out of steps raises :class:`PolishFailed`."""
+    lo, hi = map(float, bracket)
+    tol = mpmath.mpf(10) ** (5 - mpmath.mp.dps)
+    x = mpmath.mpf(x)
+    for _ in range(POLISH_STEPS):
+        f, df = eval_combo(p, x)
+        if df == 0:
+            raise PolishFailed(f"R' = 0 at x={x}")
+        step = f / df
+        x -= step
+        if not lo <= x <= hi:
+            raise PolishFailed(f"Newton left the bracket [{lo}, {hi}] at x={x}")
+        if abs(step) <= tol:
+            return x, abs(f)
+    raise PolishFailed(f"no convergence in {POLISH_STEPS} Newton steps near x={x}")
+
+
 def isolate_and_refine(p: GegenbauerCombo, lo, hi, expected_count: int,
-                       tol=None, extended: bool = False) -> RootSet:
+                       tol: float = 1e-15, extended: bool = False) -> RootSet:
     """Find exactly expected_count simple roots of p in [lo, hi].
 
-    Scans a Chebyshev grid of max(64, 8 * expected_count) points, retries
-    once at 4x density, and raises :class:`CountMismatch` if the bracket
-    count still disagrees with the expectation.
+    Scans a Chebyshev grid of max(64, 8 * expected_count) points in
+    double, retries once at 4x density, and raises :class:`CountMismatch`
+    if the bracket count still disagrees with the expectation.  With
+    ``extended``, the double roots are then polished (:func:`polish_root`).
     """
     if p.is_empty:
         raise ValueError("combo is identically zero")
     if expected_count < 0:
         raise ValueError("expected_count must be >= 0")
+    pf = p.map(float)
     m = max(64, 8 * expected_count)
-    zeros, brackets = [], []
     for density in (m, 4 * m):
-        grid = _chebyshev_grid(lo, hi, density, extended)
-        zeros, brackets = _scan(p, grid)
-        if len(zeros) + len(brackets) == expected_count:
+        brackets = _scan(pf, _chebyshev_grid(float(lo), float(hi), density))
+        if len(brackets) == expected_count:
             break
     else:
         raise CountMismatch(
             f"expected {expected_count} roots in [{lo}, {hi}], "
-            f"isolated {len(zeros) + len(brackets)}"
+            f"isolated {len(brackets)}"
         )
-    roots = list(zeros) + [refine_root(p, b, tol=tol, extended=extended)
-                           for b in brackets]
-    roots.sort()
-    residuals = tuple(abs(eval_combo(p, r)[0]) for r in roots)
+    roots = [refine_root(pf, b, tol=tol) for b in brackets]
+    if extended:
+        polished = sorted(polish_root(p, x, b) for x, b in zip(roots, brackets))
+        roots = [x for x, _ in polished]
+        residuals = tuple(r for _, r in polished)
+    else:
+        roots.sort()
+        residuals = tuple(np.abs(eval_combo(pf, np.array(roots))[0]).tolist())
     return RootSet(roots=tuple(roots), residuals=residuals, interval=(lo, hi))

@@ -3,16 +3,6 @@ import functools
 from splinequad.catalog import build_rule
 from splinequad.families import Family
 
-# smallest valid family index n
-MIN_N = {
-    Family.C0_ODD: 1,
-    Family.C0_EVEN: 1,
-    Family.C1_ODD_ENDPOINT: 1,
-    Family.C1_ODD_INTERIOR: 1,
-    Family.C1_EVEN: 2,
-}
-
-
 @functools.lru_cache(maxsize=None)
 def cached_rule(family, n, delta_sign=+1):
     """Rules are pure functions of their parameters; build each once per session."""
@@ -20,8 +10,8 @@ def cached_rule(family, n, delta_sign=+1):
 
 
 def family_range(max_n):
-    for family, lo in MIN_N.items():
-        for n in range(lo, max_n + 1):
+    for family in Family:
+        for n in range(family.min_n, max_n + 1):
             yield family, n
 
 

@@ -3,6 +3,9 @@ import math
 
 import mpmath
 import pytest
+from scipy.special import roots_gegenbauer
+
+from splinequad import rootfind
 
 from splinequad.assembly import (
     DegenerateWeight,
@@ -23,7 +26,8 @@ from splinequad.families import (
     build_c1_interior,
     build_family,
 )
-from splinequad.gegenbauer import GegenbauerCombo
+from splinequad.gegenbauer import GegenbauerCombo, eval_combo
+from splinequad.rootfind import PolishFailed
 
 from conftest import cached_rule, family_range
 
@@ -82,6 +86,13 @@ class TestAssemble:
             rule = assemble(build_family(family, n))
             for iv in rule.intervals:
                 assert list(iv.nodes) == sorted(iv.nodes), (family, n)
+
+    def test_c1_endpoint_free_nodes_match_scipy(self):
+        # independent oracle: the free nodes are the roots of C_{n-1}^(5/2)
+        for n in range(2, 61):
+            nodes = assemble(build_c1_endpoint(n)).intervals[0].nodes[1:]
+            expected = sorted(roots_gegenbauer(n - 1, 2.5)[0])
+            assert max(abs(x - y) for x, y in zip(nodes, expected)) <= 1e-14, n
 
     def test_deterministic(self):
         a = assemble(build_c1_even(7))
@@ -179,3 +190,26 @@ class TestExtendedPrecision:
         rule = build_rule(Family.C0_EVEN, 3, precision="extended")
         free = rule.intervals[0].nodes[0]
         assert isinstance(free, mpmath.mpf)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_free_nodes_bracket_a_sign_change(self, family):
+        # independent of Newton: R changes sign across every extended free
+        # node within 1e-40, checked at 60 digits
+        for n in (5, 24):
+            spec = build_family(family, n)
+            with mpmath.workdps(EXTENDED_DPS):
+                rule = assemble(spec, extended=True)
+            with mpmath.workdps(60):
+                h = mpmath.mpf(10) ** -40
+                for iv, riv in zip(spec.intervals, rule.intervals):
+                    free = riv.nodes[iv.fixed_node is not None:]
+                    assert len(free) == iv.expected_free_nodes
+                    for x in free:
+                        below, _ = eval_combo(iv.r, x - h)
+                        above, _ = eval_combo(iv.r, x + h)
+                        assert below * above < 0, (family, n, x)
+
+    def test_polish_failure_names_family_and_n(self, monkeypatch):
+        monkeypatch.setattr(rootfind, "POLISH_STEPS", 0)
+        with pytest.raises(PolishFailed, match=r"C1_EVEN n=5: no convergence"):
+            build_rule(Family.C1_EVEN, 5, precision="extended")

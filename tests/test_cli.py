@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from splinequad import cli
 from splinequad.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -10,6 +11,10 @@ from splinequad.cli import (
     format_sig25,
     main,
 )
+
+
+def _must_not_build(*args, **kwargs):
+    raise AssertionError("a rule outside the supported range was built")
 
 
 class TestFormat:
@@ -79,6 +84,11 @@ class TestGenerate:
         assert main(["generate", "--class", "c1", "--degree", "2"]) == EXIT_USAGE
         assert "error" in capsys.readouterr().err
 
+    def test_degree_past_supported_range_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_rule", _must_not_build)
+        assert main(["generate", "--class", "c0", "--degree", "100001"]) == EXIT_USAGE
+        assert "C0_ODD n=50001" in capsys.readouterr().err
+
     def test_variant_on_c0_is_usage_error(self, capsys):
         rc = main(["generate", "--class", "c0", "--degree", "5",
                    "--variant", "interior"])
@@ -118,6 +128,14 @@ class TestVerify:
         assert rc == EXIT_OK
         assert out.count("exactness ") == 5
 
+    @pytest.mark.parametrize("max_n", ["1", "201"])
+    def test_max_n_outside_supported_range_is_usage_error(self, max_n, monkeypatch,
+                                                          capsys):
+        # 1 leaves C1 even without a rule; 201 is past MAX_N
+        monkeypatch.setattr(cli, "build_rule", _must_not_build)
+        assert main(["verify", "--max-n", max_n]) == EXIT_USAGE
+        assert "error" in capsys.readouterr().err
+
     def test_impossible_tolerance_fails(self, capsys):
         rc = main(["verify", "--scope", "exactness", "--max-n", "3",
                    "--exactness-tol", "1e-30"])
@@ -144,6 +162,12 @@ class TestPlot:
                    "--output", str(path)])
         assert rc == EXIT_OK
         assert path.exists()
+
+    def test_degree_past_supported_range_is_usage_error(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "build_rule", _must_not_build)
+        rc = main(["plot", "--class", "c1", "--degree", "100001",
+                   "--variant", "both", "--output", str(tmp_path / "x.svg")])
+        assert rc == EXIT_USAGE
 
     def test_both_requires_c1_odd(self, tmp_path):
         rc = main(["plot", "--class", "c0", "--degree", "5",

@@ -9,6 +9,7 @@ from splinequad.families import (
     FACTOR_C1_ENDPOINT,
     FACTOR_C1_EVEN,
     FACTOR_ONE,
+    MAX_N,
     Family,
     build_c0_even,
     build_c0_odd,
@@ -17,9 +18,10 @@ from splinequad.families import (
     build_c1_interior,
     build_family,
 )
+from splinequad.catalog import family_for, rule_id
 from splinequad.gegenbauer import eval_combo
 
-from conftest import MIN_N, family_range
+from conftest import family_range
 
 
 class TestC0Odd:
@@ -222,3 +224,28 @@ class TestFamilyInvariants:
             if spec.second_interval_by_reflection:
                 total += spec.intervals[0].expected_free_nodes
             assert total == per_period[family](n), (family, n)
+
+
+class TestSupportedRange:
+    @pytest.mark.parametrize("family", list(Family))
+    def test_builders_reject_n_past_max(self, family):
+        with pytest.raises(ValueError, match=rf"{family.name} n={MAX_N + 1}:"):
+            build_family(family, MAX_N + 1)
+        with pytest.raises(ValueError, match=rf"{family.name} n={family.min_n - 1}:"):
+            build_family(family, family.min_n - 1)
+
+    def test_family_for_rejects_degree_past_max(self):
+        with pytest.raises(ValueError, match="C0_ODD n=50001:"):
+            family_for(0, 100001)
+        with pytest.raises(ValueError, match="C1_ODD_INTERIOR n=201:"):
+            family_for(1, 403, "interior")
+        assert family_for(1, 401, "interior") == (Family.C1_ODD_INTERIOR, MAX_N)
+
+    def test_metadata_matches_the_catalog_ids(self):
+        # degree and suffix round-trip through family_for
+        for family, n in family_range(12):
+            assert family.degree(n) == build_family(family, n).degree
+            assert family_for(family.smoothness, family.degree(n), family.variant) \
+                == (family, n)
+        assert rule_id(Family.C1_ODD_INTERIOR, 3) == "C1xD7x2"
+        assert rule_id(Family.C0_ODD, 1) == "C0xD1"

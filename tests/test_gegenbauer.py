@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import eval_gegenbauer as scipy_gegenbauer
 
+from splinequad.doubledouble import DD
+from splinequad.families import EXTENDED_DPS, Family, build_family
 from splinequad.gegenbauer import (
     GegenbauerCombo,
     eval_combo,
@@ -122,7 +124,8 @@ class TestSinglePassCombo:
             for i in (0, 17, 50, 88, 100):  # the scalar path does the same arithmetic
                 assert eval_combo(p, float(x[i])) == (val[i], der[i])
 
-    @pytest.mark.parametrize("alpha", [1.5, 2.5])
+    # 0.75: 2 alpha is no integer, so the recurrence keeps float constants
+    @pytest.mark.parametrize("alpha", [0.75, 1.5, 2.5])
     def test_mpf_matches_mpmath(self, alpha):
         with mpmath.workdps(30):
             for n in self.DEGREES:
@@ -135,6 +138,41 @@ class TestSinglePassCombo:
                     assert abs(val - mpmath.gegenbauer(n, alpha, x)) <= 1e-27 * scale
                     ref_der = 2 * alpha * mpmath.gegenbauer(n - 1, alpha + 1, x) if n else 0
                     assert abs(der - ref_der) <= 1e-27 * scale * (n * n + 1)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_int_constants_change_no_result(self, family):
+        # the recurrence with float constants, as before the int constants
+        def reference(p, x):
+            val = der = c_prev = dc = dc_prev = 0 * x
+            c = 1 + val
+            wanted = dict(p.terms)
+            for k in range(max(d for d, _ in p.terms) + 1):
+                if k:
+                    a, b = 2 * (k + p.alpha - 1), k + 2 * p.alpha - 2
+                    c, c_prev, dc, dc_prev = (
+                        (a * x * c - b * c_prev) / k, c,
+                        (a * (c + x * dc) - b * dc_prev) / k, dc,
+                    )
+                if k in wanted:
+                    c0, c1, c2 = wanted[k]
+                    coeff = c0 + (c1 + c2 * x) * x
+                    val = val + coeff * c
+                    der = der + (c1 + 2 * c2 * x) * c + coeff * dc
+            return val, der
+
+        spec = build_family(family, 40)
+        xs = np.linspace(-1, 1, 9)
+        for iv in spec.intervals:
+            for combo in (iv.r, iv.s):
+                pf, pd = combo.map(float), combo.map(DD.of)
+                assert np.array_equal(eval_combo(pf, xs), reference(pf, xs))
+                got, ref = eval_combo(pd, DD(xs)), reference(pd, DD(xs))
+                for g, r in zip(got, ref):
+                    assert np.array_equal(g.hi, r.hi) and np.array_equal(g.lo, r.lo)
+                with mpmath.workdps(EXTENDED_DPS):
+                    for x in ("-1", "-0.31", "0.87"):
+                        x = mpmath.mpf(x)
+                        assert eval_combo(combo, x) == reference(combo, x)
 
 
 class TestCombo:

@@ -3,12 +3,15 @@ import math
 import mpmath
 import pytest
 
+from splinequad import rootfind
 from splinequad.families import build_c1_interior
 from splinequad.gegenbauer import GegenbauerCombo, eval_combo
 from splinequad.rootfind import (
     CountMismatch,
     NoSignChange,
+    PolishFailed,
     isolate_and_refine,
+    polish_root,
     refine_root,
 )
 
@@ -88,3 +91,50 @@ class TestIsolateAndRefine:
             target = 1 / mpmath.sqrt(2)
             assert abs(rs.roots[1] - target) < mpmath.mpf(10) ** -45
             assert isinstance(rs.roots[1], mpmath.mpf)
+
+    def test_double_residuals_equal_scalar_evaluation(self):
+        # the one array evaluation does the scalar path's arithmetic
+        for combo, count in ((QUADRATIC, 2), (SHIFTED, 1),
+                             (GegenbauerCombo.build(2.5, [(40, 1)]), 40)):
+            rs = isolate_and_refine(combo, -1, 1, expected_count=count)
+            assert rs.residuals == tuple(abs(eval_combo(combo, r)[0]) for r in rs.roots)
+
+    def test_extended_residuals_at_working_precision(self):
+        with mpmath.workdps(50):
+            rs = isolate_and_refine(ORDER52_QUAD, -1, 1, expected_count=2,
+                                    extended=True)
+            assert all(isinstance(r, mpmath.mpf) for r in rs.residuals)
+            assert max(rs.residuals) < mpmath.mpf(10) ** -40
+
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_exact_zero_on_the_grid(self, extended):
+        # the grid on [0, 1] starts at 0.0 exactly, where 3x vanishes
+        with mpmath.workdps(50):
+            rs = isolate_and_refine(LINEAR, 0, 1, expected_count=1, extended=extended)
+        assert rs.roots == (0,)
+
+
+class TestPolishRoot:
+    BRACKET = (0.5, 0.9)  # holds the root 1/sqrt(2) of QUADRATIC
+
+    def test_converges_from_the_double_root(self):
+        with mpmath.workdps(50):
+            x, residual = polish_root(QUADRATIC, 0.7071067811865476, self.BRACKET)
+            assert abs(x - 1 / mpmath.sqrt(2)) < mpmath.mpf(10) ** -48
+            assert residual < mpmath.mpf(10) ** -25
+
+    def test_wrong_root_leaves_the_bracket(self):
+        with mpmath.workdps(50):
+            with pytest.raises(PolishFailed, match="left the bracket"):
+                polish_root(QUADRATIC, -0.7071067811865476, self.BRACKET)
+
+    def test_vanishing_derivative(self):
+        with mpmath.workdps(50):
+            with pytest.raises(PolishFailed, match="R' = 0"):
+                polish_root(QUADRATIC, 0.0, (-0.5, 0.5))
+
+    def test_step_cap(self, monkeypatch):
+        monkeypatch.setattr(rootfind, "POLISH_STEPS", 0)
+        with mpmath.workdps(50):
+            with pytest.raises(PolishFailed, match="no convergence"):
+                polish_root(QUADRATIC, 0.7071067811865476, self.BRACKET)
