@@ -3,89 +3,35 @@
 Five families of periodic rules (period one or two unit intervals) with
 closed-form nodes and weights built from Gegenbauer polynomials, plus an
 independent B-spline exactness oracle and 25-digit reference tables.
+
+The top level exports the user-facing API: building and naming rules,
+tiling them, checking them, and the exceptions a build can raise.  The
+building blocks (family specs, the Gegenbauer recurrence, the root
+finder, the B-spline basis) stay importable from their own modules.
 """
 
-from .assembly import (
-    DegenerateWeight,
-    ReferenceRule,
-    RuleInterval,
-    ScaledRule,
-    assemble,
-    replicate_periodically,
-    scale_to_unit_intervals,
-)
+from .assembly import DegenerateWeight, PolishFailed, RuleInterval, ScaledRule, replicate_periodically
 from .catalog import build_rule, build_rule_by_degree, family_for, rule_id
-from .families import (
-    Family,
-    FamilySpec,
-    IntervalSpec,
-    build_c0_even,
-    build_c0_odd,
-    build_c1_endpoint,
-    build_c1_even,
-    build_c1_interior,
-    build_family,
-)
-from .gegenbauer import (
-    GegenbauerCombo,
-    eval_combo,
-    eval_gegenbauer,
-    eval_gegenbauer_derivative,
-)
-from .rootfind import CountMismatch, NoSignChange, RootSet, isolate_and_refine, refine_root
-from .splinecheck import (
-    EntryCountMismatch,
-    ExactnessReport,
-    GoldenRule,
-    KnotVector,
-    check_exactness,
-    compare_golden,
-    eval_bspline,
-    exact_bspline_integral,
-    load_golden_tables,
-    make_knot_vector,
-)
+from .families import Family
+from .rootfind import CountMismatch
+from .splinecheck import ExactnessReport, check_exactness, compare_golden, load_golden_tables
 
 __all__ = [
     "CountMismatch",
     "DegenerateWeight",
-    "EntryCountMismatch",
     "ExactnessReport",
     "Family",
-    "FamilySpec",
-    "GegenbauerCombo",
-    "GoldenRule",
-    "IntervalSpec",
-    "KnotVector",
-    "NoSignChange",
-    "ReferenceRule",
-    "RootSet",
+    "PolishFailed",
     "RuleInterval",
     "ScaledRule",
-    "assemble",
-    "build_c0_even",
-    "build_c0_odd",
-    "build_c1_endpoint",
-    "build_c1_even",
-    "build_c1_interior",
-    "build_family",
     "build_rule",
     "build_rule_by_degree",
     "check_exactness",
     "compare_golden",
-    "eval_bspline",
-    "eval_combo",
-    "eval_gegenbauer",
-    "eval_gegenbauer_derivative",
-    "exact_bspline_integral",
     "family_for",
-    "isolate_and_refine",
     "load_golden_tables",
-    "make_knot_vector",
-    "refine_root",
     "replicate_periodically",
     "rule_id",
-    "scale_to_unit_intervals",
 ]
 
 __version__ = "0.1.0"

@@ -2,7 +2,16 @@
 
 Nodes come from the root finder (plus any fixed endpoint node); weights
 come straight from the closed-form denominators A / (R'(x) S(x) f(x)),
-never from solving a linear system.  Two presentations are produced:
+never from solving a linear system.
+
+Both precisions run one free-node stage: the double roots are polished
+by Newton in a working arithmetic, R' and S are evaluated at the
+polished nodes, and each node and weight is rounded once at the end.
+The precision only picks the arithmetic (:func:`arithmetic`):
+double-double arrays for double, numpy object arrays of mpf at the
+working precision for extended.
+
+Two presentations are produced:
 
 * :class:`ReferenceRule` - nodes in [-1, 1] per interval of the period,
   the coordinates in which the formulas are stated;
@@ -15,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import mpmath
 import numpy as np
@@ -27,12 +37,16 @@ from .families import (
     Family,
     FamilySpec,
 )
-from .gegenbauer import eval_combo
-from .rootfind import CountMismatch, PolishFailed, isolate_and_refine
+from .gegenbauer import GegenbauerCombo, eval_combo
+from .rootfind import REFINE_TOL, CountMismatch, RootSet, isolate_and_refine
 
 
 class DegenerateWeight(Exception):
     """A weight denominator vanished; impossible for a valid family spec."""
+
+
+class PolishFailed(Exception):
+    """Newton in the working arithmetic did not settle a double root."""
 
 
 @dataclass(frozen=True)
@@ -70,6 +84,8 @@ _EXTRA_FACTORS = {
     FACTOR_C1_EVEN: lambda x: (1 + x) * ((1 - x) * (1 - x)),
 }
 
+POLISH_STEPS = 6  # cap on the Newton steps of the polish
+
 
 def _mpf(value):
     """An int, Fraction or mpf as an mpf at the working precision."""
@@ -78,71 +94,104 @@ def _mpf(value):
     return mpmath.mpf(value)
 
 
-def _free_double(iv) -> tuple:
-    """Free nodes and weights of one interval, rounded to double.
+@dataclass(frozen=True)
+class Arithmetic:
+    """The number type one precision computes its free nodes in."""
 
-    The roots are isolated and refined in double on the float combo.  The
-    weight A / (R'(x) S(x) f(x)) is so sensitive to x near +-1 that even
-    the double root (within about an ulp, 1.3e-16 at most for n <= 200)
-    changes it by up to 1.3e-9 relative at n = 80 and 1.9e-7 at n = 200,
-    and S cancels there too.  So the rest runs in double-double on all
-    roots at once: one Newton step from the double roots, then R' and S
-    at the polished nodes, and a single rounding of each node and weight
-    at the end.
-    """
-    roots = isolate_and_refine(iv.r, -1, 1, iv.expected_free_nodes).roots
-    r, s = iv.r.map(DD.of), iv.s.map(DD.of)
-    x = DD(np.array(roots))
-    rval, rder = eval_combo(r, x)
-    x = x - rval / rder
-    _, rder = eval_combo(r, x)
-    sval, _ = eval_combo(s, x)
-    denom = rder * sval * _EXTRA_FACTORS[iv.extra_weight_factor](x)
-    bad = ~np.isfinite(denom.hi) | (np.abs(denom.hi) <= 1e-300)
+    real: Callable    # exact scalar -> output number (fixed nodes, delta)
+    lift: Callable    # exact combo coefficient -> working scalar
+    array: Callable   # double roots -> working array
+    output: Callable  # working array -> list of output numbers
+    tol: object       # the polish stops once no Newton step is larger
+
+
+def arithmetic(extended: bool) -> Arithmetic:
+    """Double-double arrays rounded to double, or numpy object arrays of
+    mpf at the working precision (``extended``)."""
+    if not extended:
+        return Arithmetic(
+            real=float, lift=DD.of, array=lambda roots: DD(np.array(roots)),
+            output=lambda v: v.rounded().tolist(), tol=REFINE_TOL)
+    return Arithmetic(
+        real=_mpf, lift=lambda c: c,
+        array=lambda roots: np.array([mpmath.mpf(x) for x in roots], dtype=object),
+        output=list, tol=mpmath.mpf(10) ** (5 - mpmath.mp.dps))
+
+
+def _raise_at(bad, xs, error, what):
     if bad.any():
-        raise DegenerateWeight(f"denominator ~ 0 at x={x.hi[bad][0]}")
-    return x.rounded().tolist(), (DD.of(iv.a) / denom).rounded().tolist()
+        raise error(f"{what} at x={xs[np.argmax(bad)]}")
 
 
-def _free_extended(iv) -> tuple:
-    """Free nodes and weights of one interval at the working precision."""
-    roots = isolate_and_refine(
-        iv.r, -1, 1, iv.expected_free_nodes, extended=True).roots
-    extra = _EXTRA_FACTORS[iv.extra_weight_factor]
-    weights = []
-    for x in roots:
-        _, rder = eval_combo(iv.r, x)
-        sval, _ = eval_combo(iv.s, x)
-        denom = rder * sval * extra(x)
-        if not abs(denom) > 1e-300:
-            raise DegenerateWeight(f"denominator ~ 0 at x={x}")
-        # a is exact (int or Fraction), so it enters unrounded
-        weights.append(iv.a.numerator / (iv.a.denominator * denom))
-    return roots, weights
+def polish(r: GegenbauerCombo, found: RootSet, arith: Arithmetic):
+    """Newton on r (coefficients in ``arith``) from the double roots, all
+    at once, until no step is larger than ``arith.tol``: one step in
+    double-double, two or three in mpf.  R' = 0, an iterate outside its
+    root's double bracket, or running out of steps raises
+    :class:`PolishFailed`."""
+    x = arith.array(found.roots)
+    lo, hi = np.array(found.brackets, dtype=float).T
+    unsettled = np.ones(len(found.roots), dtype=bool)
+    for _ in range(POLISH_STEPS):
+        f, df = eval_combo(r, x)
+        _raise_at(np.array(arith.output(df)) == 0, arith.output(x), PolishFailed, "R' = 0")
+        step = f / df
+        x = x - step
+        xs = np.array(arith.output(x))
+        _raise_at((xs < lo) | (xs > hi), xs, PolishFailed, "Newton left the bracket")
+        unsettled = np.abs(np.array(arith.output(step))) > arith.tol
+        if not unsettled.any():
+            return x
+    raise PolishFailed(f"no convergence in {POLISH_STEPS} Newton steps "
+                       f"at x={arith.output(x)[np.argmax(unsettled)]}")
+
+
+def _free(iv, arith: Arithmetic) -> tuple:
+    """Free nodes and weights of one interval.
+
+    The roots are isolated and refined in double, then polished in the
+    working arithmetic.  The weight A / (R'(x) S(x) f(x)) is so sensitive
+    to x near +-1 that even the double root (within about an ulp, 1.3e-16
+    at most for n <= 200) changes it by up to 1.3e-9 relative at n = 80
+    and 1.9e-7 at n = 200, and S cancels there too.  So R' and S are
+    evaluated at the polished nodes in the working arithmetic as well,
+    and each node and weight is rounded once, at the end.
+    """
+    r = iv.r.map(arith.lift)
+    x = polish(r, isolate_and_refine(iv.r, -1, 1, iv.expected_free_nodes), arith)
+    _, rder = eval_combo(r, x)
+    sval, _ = eval_combo(iv.s.map(arith.lift), x)
+    denom = rder * sval * _EXTRA_FACTORS[iv.extra_weight_factor](x)
+    size = np.abs(np.array(arith.output(denom)))
+    _raise_at(~((size > 1e-300) & (size < np.inf)), arith.output(x),
+              DegenerateWeight, "denominator ~ 0")
+    # A is exact (int or Fraction): its numerator enters unrounded
+    weights = arith.lift(iv.a.numerator) / (iv.a.denominator * denom)
+    return arith.output(x), arith.output(weights)
 
 
 def assemble(spec: FamilySpec, extended: bool = False) -> ReferenceRule:
     """Compute nodes and weights for every interval of the spec's period.
 
     Nodes and weights are floats, or mpf values at the working precision
-    when ``extended`` is set.  Fixed endpoint nodes keep their closed-form
-    weights and are listed first (they sit at the interval's left end).
-    For the reflected second interval of the C1 even family, the first
-    interval's free nodes are negated and re-sorted with their weights
-    carried along.
+    when ``extended`` is set; that choice of :func:`arithmetic` is the
+    only difference between the two.  Fixed endpoint nodes keep their
+    closed-form weights and are listed first (they sit at the interval's
+    left end).  For the reflected second interval of the C1 even family,
+    the first interval's free nodes are negated and re-sorted with their
+    weights carried along.
     """
-    real = _mpf if extended else float
-    free = _free_extended if extended else _free_double
+    arith = arithmetic(extended)
     intervals = []
     first_free = None  # (nodes, weights) of the first interval's free part
     for iv in spec.intervals:
         nodes, weights = [], []
         if iv.fixed_node is not None:
-            nodes.append(real(iv.fixed_node[0]))
-            weights.append(real(iv.fixed_node[1]))
+            nodes.append(arith.real(iv.fixed_node[0]))
+            weights.append(arith.real(iv.fixed_node[1]))
         if iv.expected_free_nodes > 0:
             try:
-                free_nodes, free_weights = free(iv)
+                free_nodes, free_weights = _free(iv, arith)
             except (CountMismatch, DegenerateWeight, PolishFailed) as exc:
                 raise type(exc)(f"{spec.id.name} n={spec.n}: {exc}") from exc
             nodes += free_nodes
@@ -158,7 +207,7 @@ def assemble(spec: FamilySpec, extended: bool = False) -> ReferenceRule:
             tuple(x for x, _ in pairs), tuple(w for _, w in pairs)))
     return ReferenceRule(
         family=spec.id, n=spec.n, degree=spec.degree,
-        intervals=tuple(intervals), delta=real(spec.delta),
+        intervals=tuple(intervals), delta=arith.real(spec.delta),
     )
 
 

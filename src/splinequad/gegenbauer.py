@@ -6,10 +6,10 @@ rules, 5/2 for the C1 rules, 7/2 for derivatives).  Evaluation is by the
 forward three-term recurrence, which is stable for the degrees and
 arguments used here (n <= 200, x in [-1, 1]).
 
-The functions are written generically: x may be a float, an mpmath mpf
-(for the extended-precision path), a numpy array, or a double-double
-array (:class:`splinequad.doubledouble.DD`, for the weight kernel), and
-the same code path serves all of them.
+The functions are written generically: x may be a float, an mpmath mpf,
+a numpy array of floats (the root scan) or of mpf (the extended-precision
+polish), or a double-double array (:class:`splinequad.doubledouble.DD`,
+the double-precision polish), and the same code path serves all of them.
 """
 
 from __future__ import annotations

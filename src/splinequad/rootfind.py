@@ -1,4 +1,4 @@
-"""Bracketing + Newton root finding for Gegenbauer combinations.
+"""Bracketing + Newton root finding for Gegenbauer combinations, in double.
 
 The rule formulas guarantee how many simple roots R has inside [-1, 1],
 so the solver takes the expected count as input and treats any other
@@ -7,9 +7,9 @@ Chebyshev-distributed scan grid, which clusters points near the interval
 ends where several families crowd their roots; a uniform grid starts
 missing brackets there at high degree.
 
-Isolation and refinement always run in double.  The extended path then
-polishes each double root with two or three Newton steps at the working
-precision (:func:`polish_root`); no scan or bisection runs in mpmath.
+Isolation and refinement run in double only, in both precisions: the
+double roots and their brackets are the input of the one polish stage in
+:mod:`splinequad.assembly`, which takes them to the working arithmetic.
 
 A companion-matrix eigenvalue path was deliberately not used: the combos
 are cheap to evaluate through the recurrence and the root counts are
@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .gegenbauer import GegenbauerCombo, eval_combo
 
-POLISH_STEPS = 6  # cap on the Newton steps of the extended polish
+REFINE_TOL = 1e-15  # a Newton step this small ends the double refinement
 
 
 class CountMismatch(Exception):
@@ -40,15 +39,13 @@ class NoSignChange(Exception):
     """The supplied bracket does not straddle a sign change."""
 
 
-class PolishFailed(Exception):
-    """Newton at the working precision did not settle a double root."""
-
-
 @dataclass(frozen=True)
 class RootSet:
+    """Double roots, ascending, each with the sign-change bracket it was
+    refined in."""
+
     roots: tuple
-    residuals: tuple
-    interval: tuple
+    brackets: tuple
 
 
 def _chebyshev_grid(lo: float, hi: float, m: int) -> list:
@@ -73,7 +70,7 @@ def _scan(p: GegenbauerCombo, grid) -> list:
     return brackets
 
 
-def refine_root(p: GegenbauerCombo, bracket, tol: float = 1e-15):
+def refine_root(p: GegenbauerCombo, bracket):
     """Refine a single root inside a sign-change bracket, in double.
 
     Newton iteration with the derivative from :func:`eval_combo`, falling
@@ -104,48 +101,26 @@ def refine_root(p: GegenbauerCombo, bracket, tol: float = 1e-15):
             # converged: accept the Newton point even if it grazes a
             # bracket end (an endpoint within an ulp of the root would
             # otherwise force futile bisection)
-            if abs(step) <= tol:
+            if abs(step) <= REFINE_TOL:
                 return xn if lo <= xn <= hi else x
             if not (lo < xn < hi):
                 xn = (lo + hi) / 2
         else:
             xn = (lo + hi) / 2
-        if abs(xn - x) <= tol:
+        if abs(xn - x) <= REFINE_TOL:
             x = xn
             break
         x = xn
     return x
 
 
-def polish_root(p: GegenbauerCombo, x, bracket):
-    """Newton on p at the working precision from the double root x, until
-    a step is at most 10**(5 - dps).  Returns (root, |p| at the last
-    iterate evaluated); an iterate outside the bracket, p' = 0 or running
-    out of steps raises :class:`PolishFailed`."""
-    lo, hi = map(float, bracket)
-    tol = mpmath.mpf(10) ** (5 - mpmath.mp.dps)
-    x = mpmath.mpf(x)
-    for _ in range(POLISH_STEPS):
-        f, df = eval_combo(p, x)
-        if df == 0:
-            raise PolishFailed(f"R' = 0 at x={x}")
-        step = f / df
-        x -= step
-        if not lo <= x <= hi:
-            raise PolishFailed(f"Newton left the bracket [{lo}, {hi}] at x={x}")
-        if abs(step) <= tol:
-            return x, abs(f)
-    raise PolishFailed(f"no convergence in {POLISH_STEPS} Newton steps near x={x}")
+def isolate_and_refine(p: GegenbauerCombo, lo, hi, expected_count: int) -> RootSet:
+    """Find exactly expected_count simple roots of p in [lo, hi], in double.
 
-
-def isolate_and_refine(p: GegenbauerCombo, lo, hi, expected_count: int,
-                       tol: float = 1e-15, extended: bool = False) -> RootSet:
-    """Find exactly expected_count simple roots of p in [lo, hi].
-
-    Scans a Chebyshev grid of max(64, 8 * expected_count) points in
-    double, retries once at 4x density, and raises :class:`CountMismatch`
-    if the bracket count still disagrees with the expectation.  With
-    ``extended``, the double roots are then polished (:func:`polish_root`).
+    Scans a Chebyshev grid of max(64, 8 * expected_count) points, retries
+    once at 4x density, and raises :class:`CountMismatch` if the bracket
+    count still disagrees with the expectation.  The roots come out
+    ascending, each with the bracket it was refined in.
     """
     if p.is_empty:
         raise ValueError("combo is identically zero")
@@ -162,12 +137,5 @@ def isolate_and_refine(p: GegenbauerCombo, lo, hi, expected_count: int,
             f"expected {expected_count} roots in [{lo}, {hi}], "
             f"isolated {len(brackets)}"
         )
-    roots = [refine_root(pf, b, tol=tol) for b in brackets]
-    if extended:
-        polished = sorted(polish_root(p, x, b) for x, b in zip(roots, brackets))
-        roots = [x for x, _ in polished]
-        residuals = tuple(r for _, r in polished)
-    else:
-        roots.sort()
-        residuals = tuple(np.abs(eval_combo(pf, np.array(roots))[0]).tolist())
-    return RootSet(roots=tuple(roots), residuals=residuals, interval=(lo, hi))
+    found = sorted((refine_root(pf, b), b) for b in brackets)
+    return RootSet(roots=tuple(x for x, _ in found), brackets=tuple(b for _, b in found))

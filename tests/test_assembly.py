@@ -5,10 +5,10 @@ import mpmath
 import pytest
 from scipy.special import roots_gegenbauer
 
-from splinequad import rootfind
-
+from splinequad import assembly
 from splinequad.assembly import (
     DegenerateWeight,
+    PolishFailed,
     assemble,
     replicate_periodically,
     scale_to_unit_intervals,
@@ -27,7 +27,6 @@ from splinequad.families import (
     build_family,
 )
 from splinequad.gegenbauer import GegenbauerCombo, eval_combo
-from splinequad.rootfind import PolishFailed
 
 from conftest import cached_rule, family_range
 
@@ -210,6 +209,23 @@ class TestExtendedPrecision:
                         assert below * above < 0, (family, n, x)
 
     def test_polish_failure_names_family_and_n(self, monkeypatch):
-        monkeypatch.setattr(rootfind, "POLISH_STEPS", 0)
-        with pytest.raises(PolishFailed, match=r"C1_EVEN n=5: no convergence"):
-            build_rule(Family.C1_EVEN, 5, precision="extended")
+        monkeypatch.setattr(assembly, "POLISH_STEPS", 0)
+        for precision in ("double", "extended"):
+            with pytest.raises(PolishFailed, match=r"C1_EVEN n=5: no convergence"):
+                build_rule(Family.C1_EVEN, 5, precision=precision)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_accuracy_against_90_digits(self, family):
+        # the measured accuracy of the 50-digit rule: the same spec
+        # assembled at 90 digits is the reference
+        spec = build_family(family, 24)
+        with mpmath.workdps(EXTENDED_DPS):
+            rule = assemble(spec, extended=True)
+        with mpmath.workdps(90):
+            reference = assemble(spec, extended=True)
+            for iv, ref in zip(rule.intervals, reference.intervals):
+                assert len(iv.nodes) == len(ref.nodes)
+                for x, y in zip(iv.nodes, ref.nodes):
+                    assert abs(x - y) <= 1e-50, (x, y)
+                for w, v in zip(iv.weights, ref.weights):
+                    assert abs(w - v) <= 1e-45 * abs(v), (w, v)

@@ -3,15 +3,16 @@ import math
 import mpmath
 import pytest
 
-from splinequad import rootfind
+from splinequad import assembly
+from splinequad.assembly import PolishFailed, arithmetic, polish
+from splinequad.doubledouble import DD
 from splinequad.families import build_c1_interior
 from splinequad.gegenbauer import GegenbauerCombo, eval_combo
 from splinequad.rootfind import (
     CountMismatch,
     NoSignChange,
-    PolishFailed,
+    RootSet,
     isolate_and_refine,
-    polish_root,
     refine_root,
 )
 
@@ -19,6 +20,17 @@ LINEAR = GegenbauerCombo.build(1.5, [(1, 1)])              # 3x
 QUADRATIC = GegenbauerCombo.build(1.5, [(2, 4), (0, -9)])  # 30x^2 - 15
 SHIFTED = GegenbauerCombo.build(1.5, [(1, 1), (0, math.sqrt(3))])  # 3x + sqrt(3)
 ORDER52_QUAD = GegenbauerCombo.build(2.5, [(2, 1)])        # 17.5 x^2 - 2.5
+
+
+def _polish(combo, roots, brackets, extended):
+    """The polish stage of assembly on given double roots, at 50 digits,
+    as mpf values (a double-double x.hi + x.lo is exact as an mpf)."""
+    with mpmath.workdps(50):
+        arith = arithmetic(extended)
+        x = polish(combo.map(arith.lift), RootSet(tuple(roots), tuple(brackets)), arith)
+        if isinstance(x, DD):
+            return [mpmath.mpf(h) + lo for h, lo in zip(x.hi, x.lo)]
+        return list(x)
 
 
 class TestRefineRoot:
@@ -54,15 +66,15 @@ class TestIsolateAndRefine:
         assert rs.roots[0] == pytest.approx(-expected, abs=1e-15)
         assert rs.roots[1] == pytest.approx(expected, abs=1e-15)
         assert list(rs.roots) == sorted(rs.roots)
-        assert rs.interval == (-1, 1)
+        assert all(lo <= x <= hi for x, (lo, hi) in zip(rs.roots, rs.brackets))
 
     def test_residual_bound(self):
         for combo, count in ((QUADRATIC, 2), (ORDER52_QUAD, 2),
                              (GegenbauerCombo.build(1.5, [(9, 1)]), 9)):
             rs = isolate_and_refine(combo, -1, 1, expected_count=count)
-            for root, res in zip(rs.roots, rs.residuals):
-                _, der = eval_combo(combo, root)
-                assert res <= 1e-10 * max(1.0, abs(der))
+            for root in rs.roots:
+                res, der = eval_combo(combo, root)
+                assert abs(res) <= 1e-10 * max(1.0, abs(der))
 
     def test_high_degree_count(self):
         combo = GegenbauerCombo.build(1.5, [(50, 1)])
@@ -85,56 +97,54 @@ class TestIsolateAndRefine:
         assert a.roots == b.roots
 
     def test_extended_precision(self):
+        # the double roots, isolated on mpf bounds, polished at 50 digits
+        rs = isolate_and_refine(QUADRATIC, mpmath.mpf(-1), mpmath.mpf(1),
+                                expected_count=2)
         with mpmath.workdps(50):
-            rs = isolate_and_refine(QUADRATIC, mpmath.mpf(-1), mpmath.mpf(1),
-                                    expected_count=2, extended=True)
+            arith = arithmetic(extended=True)
+            roots = polish(QUADRATIC.map(arith.lift), rs, arith)
             target = 1 / mpmath.sqrt(2)
-            assert abs(rs.roots[1] - target) < mpmath.mpf(10) ** -45
-            assert isinstance(rs.roots[1], mpmath.mpf)
-
-    def test_double_residuals_equal_scalar_evaluation(self):
-        # the one array evaluation does the scalar path's arithmetic
-        for combo, count in ((QUADRATIC, 2), (SHIFTED, 1),
-                             (GegenbauerCombo.build(2.5, [(40, 1)]), 40)):
-            rs = isolate_and_refine(combo, -1, 1, expected_count=count)
-            assert rs.residuals == tuple(abs(eval_combo(combo, r)[0]) for r in rs.roots)
-
-    def test_extended_residuals_at_working_precision(self):
-        with mpmath.workdps(50):
-            rs = isolate_and_refine(ORDER52_QUAD, -1, 1, expected_count=2,
-                                    extended=True)
-            assert all(isinstance(r, mpmath.mpf) for r in rs.residuals)
-            assert max(rs.residuals) < mpmath.mpf(10) ** -40
+            assert abs(roots[1] - target) < mpmath.mpf(10) ** -45
+            assert isinstance(roots[1], mpmath.mpf)
 
     @pytest.mark.parametrize("extended", [False, True])
     def test_exact_zero_on_the_grid(self, extended):
-        # the grid on [0, 1] starts at 0.0 exactly, where 3x vanishes
-        with mpmath.workdps(50):
-            rs = isolate_and_refine(LINEAR, 0, 1, expected_count=1, extended=extended)
+        # the grid on [0, 1] starts at 0.0 exactly, where 3x vanishes;
+        # the root gets a bracket and the polish leaves it exact
+        rs = isolate_and_refine(LINEAR, 0, 1, expected_count=1)
         assert rs.roots == (0,)
+        assert rs.brackets[0][0] <= 0 < rs.brackets[0][1]
+        assert _polish(LINEAR, rs.roots, rs.brackets, extended) == [0]
 
 
 class TestPolishRoot:
-    BRACKET = (0.5, 0.9)  # holds the root 1/sqrt(2) of QUADRATIC
+    """The one polish stage of assembly.  Each case runs in both
+    arithmetics, double-double and 50-digit mpf, inside the test, so the
+    test ids stay those of the former extended-only polish."""
 
-    def test_converges_from_the_double_root(self):
-        with mpmath.workdps(50):
-            x, residual = polish_root(QUADRATIC, 0.7071067811865476, self.BRACKET)
-            assert abs(x - 1 / mpmath.sqrt(2)) < mpmath.mpf(10) ** -48
-            assert residual < mpmath.mpf(10) ** -25
+    ROOT = 0.7071067811865476  # the double root 1/sqrt(2) of QUADRATIC
+    BRACKET = (0.5, 0.9)
+
+    def test_converges_from_the_double_root(self, monkeypatch):
+        # within the steps the polish docstring promises per arithmetic
+        for extended, steps, bound in ((False, 1, 1e-31), (True, 3, 1e-48)):
+            monkeypatch.setattr(assembly, "POLISH_STEPS", steps)
+            x, = _polish(QUADRATIC, [self.ROOT], [self.BRACKET], extended)
+            with mpmath.workdps(50):
+                assert abs(x - 1 / mpmath.sqrt(2)) < bound, extended
 
     def test_wrong_root_leaves_the_bracket(self):
-        with mpmath.workdps(50):
+        for extended in (False, True):
             with pytest.raises(PolishFailed, match="left the bracket"):
-                polish_root(QUADRATIC, -0.7071067811865476, self.BRACKET)
+                _polish(QUADRATIC, [-self.ROOT], [self.BRACKET], extended)
 
     def test_vanishing_derivative(self):
-        with mpmath.workdps(50):
-            with pytest.raises(PolishFailed, match="R' = 0"):
-                polish_root(QUADRATIC, 0.0, (-0.5, 0.5))
+        for extended in (False, True):
+            with pytest.raises(PolishFailed, match="R' = 0 at x=0"):
+                _polish(QUADRATIC, [0.0], [(-0.5, 0.5)], extended)
 
     def test_step_cap(self, monkeypatch):
-        monkeypatch.setattr(rootfind, "POLISH_STEPS", 0)
-        with mpmath.workdps(50):
-            with pytest.raises(PolishFailed, match="no convergence"):
-                polish_root(QUADRATIC, 0.7071067811865476, self.BRACKET)
+        monkeypatch.setattr(assembly, "POLISH_STEPS", 0)
+        for extended in (False, True):
+            with pytest.raises(PolishFailed, match="no convergence .* at x=0.7071"):
+                _polish(QUADRATIC, [self.ROOT], [self.BRACKET], extended)
