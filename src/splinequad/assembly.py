@@ -1,8 +1,11 @@
 """Turn family construction data into concrete quadrature rules.
 
-Nodes come from the root finder (plus any fixed endpoint node); weights
-come straight from the closed-form denominators A / (R'(x) S(x) f(x)),
-never from solving a linear system.
+:func:`assemble` reads a :class:`~splinequad.families.FamilySpec`: per
+interval, the free nodes are the roots of R (found by the root finder),
+listed after any fixed endpoint node, and their weights come straight
+from the closed-form denominators A / (R'(x) S(x) f(x)) with the
+interval's own factor function f, never from solving a linear system.
+The rule's degree is its family's ``degree(n)``.
 
 Both precisions run one free-node stage: the double roots are polished
 by Newton in a working arithmetic, R' and S are evaluated at the
@@ -30,13 +33,7 @@ import mpmath
 import numpy as np
 
 from .doubledouble import DD
-from .families import (
-    FACTOR_C1_ENDPOINT,
-    FACTOR_C1_EVEN,
-    FACTOR_ONE,
-    Family,
-    FamilySpec,
-)
+from .families import Family, FamilySpec
 from .gegenbauer import GegenbauerCombo, eval_combo
 from .rootfind import REFINE_TOL, CountMismatch, RootSet, isolate_and_refine
 
@@ -76,13 +73,6 @@ class ScaledRule:
     def period_intervals(self) -> int:
         return len(self.intervals)
 
-
-# products only, no powers: they also evaluate on double-double arrays
-_EXTRA_FACTORS = {
-    FACTOR_ONE: lambda x: 1,
-    FACTOR_C1_ENDPOINT: lambda x: (1 - x * x) * (1 - x * x),
-    FACTOR_C1_EVEN: lambda x: (1 + x) * ((1 - x) * (1 - x)),
-}
 
 POLISH_STEPS = 6  # cap on the Newton steps of the polish
 
@@ -161,7 +151,7 @@ def _free(iv, arith: Arithmetic) -> tuple:
     x = polish(r, isolate_and_refine(iv.r, -1, 1, iv.expected_free_nodes), arith)
     _, rder = eval_combo(r, x)
     sval, _ = eval_combo(iv.s.map(arith.lift), x)
-    denom = rder * sval * _EXTRA_FACTORS[iv.extra_weight_factor](x)
+    denom = rder * sval * iv.extra_weight_factor(x)
     size = np.abs(np.array(arith.output(denom)))
     _raise_at(~((size > 1e-300) & (size < np.inf)), arith.output(x),
               DegenerateWeight, "denominator ~ 0")
@@ -183,7 +173,6 @@ def assemble(spec: FamilySpec, extended: bool = False) -> ReferenceRule:
     """
     arith = arithmetic(extended)
     intervals = []
-    first_free = None  # (nodes, weights) of the first interval's free part
     for iv in spec.intervals:
         nodes, weights = [], []
         if iv.fixed_node is not None:
@@ -196,17 +185,15 @@ def assemble(spec: FamilySpec, extended: bool = False) -> ReferenceRule:
                 raise type(exc)(f"{spec.id.name} n={spec.n}: {exc}") from exc
             nodes += free_nodes
             weights += free_weights
-            if first_free is None:
-                first_free = (free_nodes, free_weights)
-        elif first_free is None:
-            first_free = ([], [])
         intervals.append(RuleInterval(tuple(nodes), tuple(weights)))
     if spec.second_interval_by_reflection:
-        pairs = sorted((-x, w) for x, w in zip(*first_free))
+        skip = 0 if spec.intervals[0].fixed_node is None else 1
+        first = intervals[0]
+        pairs = sorted((-x, w) for x, w in zip(first.nodes[skip:], first.weights[skip:]))
         intervals.append(RuleInterval(
             tuple(x for x, _ in pairs), tuple(w for _, w in pairs)))
     return ReferenceRule(
-        family=spec.id, n=spec.n, degree=spec.degree,
+        family=spec.id, n=spec.n, degree=spec.id.degree(spec.n),
         intervals=tuple(intervals), delta=arith.real(spec.delta),
     )
 

@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 import mpmath
@@ -213,6 +214,11 @@ def _svg_stem_chart(series, title: str) -> str:
 
 
 def cmd_plot(args) -> int:
+    csv_path = os.path.splitext(args.output)[0] + ".csv"
+    if csv_path == args.output:
+        print(f"error: the SVG path {args.output} would be overwritten by the CSV",
+              file=sys.stderr)
+        return EXIT_USAGE
     smoothness = 0 if args.cls == "c0" else 1
     overlay = args.variant == "both"
     try:
@@ -236,7 +242,6 @@ def cmd_plot(args) -> int:
         return EXIT_USAGE
     title = f"weights, class {args.cls.upper()}, degree {args.degree}"
     svg = _svg_stem_chart(series, title)
-    csv_path = args.output.rsplit(".", 1)[0] + ".csv"
     try:
         with open(args.output, "w") as fh:
             fh.write(svg)
@@ -286,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     plot.add_argument("--degree", type=int, required=True)
     plot.add_argument("--variant", choices=["endpoint", "interior", "both"],
                       default=None)
-    plot.add_argument("--output", "-o", required=True, help="SVG path")
+    plot.add_argument("--output", "-o", required=True,
+                      help="SVG path; the CSV goes next to it, extension .csv")
     plot.set_defaults(func=cmd_plot)
     return parser
 

@@ -1,10 +1,15 @@
 """Closed-form construction data for the five spline quadrature families.
 
-Each builder returns a :class:`FamilySpec` holding, per interval of the
-period, the polynomial R whose roots are the free nodes, the companion
-polynomial S appearing in the weight denominator, the normalization
-constant A, an optional fixed endpoint node with its closed-form weight,
-and the extra denominator factor used by the C1 families.
+Each builder returns a :class:`FamilySpec`: the family, n, delta, and
+per interval of the period an :class:`IntervalSpec` holding the
+polynomial R whose roots are the free nodes, the companion polynomial S
+of the weight denominator, the normalization constant A, an optional
+fixed endpoint node with its closed-form weight, the extra denominator
+factor f (a function of x), and the number of free nodes.  The weights
+of the free nodes are A / (R'(x) S(x) f(x)).  The C1 even spec lists
+its first interval only: the second is the first's free part reflected
+at 0.  That is all :func:`splinequad.assembly.assemble` reads; the
+degree and the period length follow from the family and the intervals.
 
 Everything is stated in the reference interval [-1, 1]; scaling to unit
 intervals happens in :mod:`splinequad.assembly`.
@@ -27,7 +32,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import mpmath
 
@@ -40,10 +45,22 @@ EXTENDED_DPS = 50
 # largest supported n in every family, in both precisions
 MAX_N = 200
 
-# extra factors multiplying R'(x) * S(x) in the weight denominators
-FACTOR_ONE = "one"
-FACTOR_C1_ENDPOINT = "(1-x^2)^2"
-FACTOR_C1_EVEN = "(1+x)(1-x)^2"
+
+# Extra factors f(x) multiplying R'(x) * S(x) in the weight denominators.
+# Products only, no powers: they also evaluate on double-double arrays.
+def no_extra_factor(x):
+    """f(x) = 1."""
+    return 1
+
+
+def c1_endpoint_factor(x):
+    """f(x) = (1 - x^2)^2, the C1 odd endpoint family."""
+    return (1 - x * x) * (1 - x * x)
+
+
+def c1_even_factor(x):
+    """f(x) = (1 + x)(1 - x)^2, the C1 even family."""
+    return (1 + x) * ((1 - x) * (1 - x))
 
 
 class Family(enum.Enum):
@@ -97,7 +114,7 @@ class IntervalSpec:
     s: GegenbauerCombo
     a: object  # normalization constant, exact (int or Fraction)
     fixed_node: Optional[tuple]  # (x, w) or None; x an int, w exact or mpf
-    extra_weight_factor: str
+    extra_weight_factor: Callable  # f(x) of the weight denominators
     expected_free_nodes: int
 
 
@@ -107,11 +124,7 @@ class FamilySpec:
 
     id: Family
     n: int
-    degree: int
     delta: object  # mpf at EXTENDED_DPS; 0 when the family has no delta
-    delta_radicand: Optional[Fraction]
-    delta_sign: int
-    period_intervals: int
     intervals: tuple
     second_interval_by_reflection: bool = False
 
@@ -121,8 +134,11 @@ def _sqrt(radicand: Fraction, sign: int):
 
     The builders that call this run at EXTENDED_DPS, so delta and every
     coefficient computed from it are mpf values at that precision; all
-    other coefficients are exact ints or Fractions.
+    other coefficients are exact ints or Fractions.  A sign other than
+    +1 or -1 raises a ValueError.
     """
+    if sign not in (+1, -1):
+        raise ValueError("delta_sign must be +1 or -1")
     num = mpmath.mpf(radicand.numerator)
     den = mpmath.mpf(radicand.denominator)
     return sign * mpmath.sqrt(num / den)
@@ -141,7 +157,7 @@ def build_c0_odd(n: int) -> FamilySpec:
         s=GegenbauerCombo.build(a, [(n - 1, n), (n - 2, (0, -(n + 1), 0))]),
         a=2 * (n + 1) * (2 * n + 1) * n * n,
         fixed_node=None,
-        extra_weight_factor=FACTOR_ONE,
+        extra_weight_factor=no_extra_factor,
         expected_free_nodes=n,
     )
     second = IntervalSpec(
@@ -149,13 +165,11 @@ def build_c0_odd(n: int) -> FamilySpec:
         s=GegenbauerCombo.build(a, [(n - 2, 2 * n - 1), (n - 3, (0, -n, 0))]),
         a=2 * n * (2 * n - 1),
         fixed_node=None,
-        extra_weight_factor=FACTOR_ONE,
+        extra_weight_factor=no_extra_factor,
         expected_free_nodes=n - 1,
     )
     return FamilySpec(
-        id=Family.C0_ODD, n=n, degree=Family.C0_ODD.degree(n),
-        delta=0, delta_radicand=None, delta_sign=0,
-        period_intervals=2, intervals=(first, second),
+        id=Family.C0_ODD, n=n, delta=0, intervals=(first, second),
     )
 
 
@@ -167,11 +181,8 @@ def build_c0_even(n: int, delta_sign: int = +1) -> FamilySpec:
     rules.  The default + sign matches the reference tables.
     """
     Family.C0_EVEN.check_n(n)
-    if delta_sign not in (+1, -1):
-        raise ValueError("delta_sign must be +1 or -1")
     a = 1.5
-    radicand = Fraction(n + 2, n)
-    delta = _sqrt(radicand, delta_sign)
+    delta = _sqrt(Fraction(n + 2, n), delta_sign)
     interval = IntervalSpec(
         r=GegenbauerCombo.build(a, [(n, 1), (n - 1, delta)]),
         s=GegenbauerCombo.build(
@@ -180,13 +191,11 @@ def build_c0_even(n: int, delta_sign: int = +1) -> FamilySpec:
         ),
         a=2 * (n + 1) * (2 * n + 1),
         fixed_node=None,
-        extra_weight_factor=FACTOR_ONE,
+        extra_weight_factor=no_extra_factor,
         expected_free_nodes=n,
     )
     return FamilySpec(
-        id=Family.C0_EVEN, n=n, degree=Family.C0_EVEN.degree(n),
-        delta=delta, delta_radicand=radicand, delta_sign=delta_sign,
-        period_intervals=1, intervals=(interval,),
+        id=Family.C0_EVEN, n=n, delta=delta, intervals=(interval,),
     )
 
 
@@ -205,13 +214,11 @@ def build_c1_endpoint(n: int) -> FamilySpec:
         s=GegenbauerCombo.build(a, [(n - 2, 1)]),
         a=Fraction(2 * n * (n + 1) * (n + 2), 9),
         fixed_node=(-1, w1),
-        extra_weight_factor=FACTOR_C1_ENDPOINT,
+        extra_weight_factor=c1_endpoint_factor,
         expected_free_nodes=n - 1,
     )
     return FamilySpec(
-        id=Family.C1_ODD_ENDPOINT, n=n, degree=Family.C1_ODD_ENDPOINT.degree(n),
-        delta=0, delta_radicand=None, delta_sign=0,
-        period_intervals=1, intervals=(interval,),
+        id=Family.C1_ODD_ENDPOINT, n=n, delta=0, intervals=(interval,),
     )
 
 
@@ -226,28 +233,24 @@ def build_c1_interior(n: int, delta_sign: int = +1) -> FamilySpec:
 
     The formulas degenerate at n = 1 (the C_n coefficient vanishes), but
     the limiting rule is the midpoint rule: single node 0 with weight 2 on
-    [-1, 1].  That case is hard-coded.
+    [-1, 1].  That case is hard-coded, with delta 0; delta_sign is
+    checked all the same.
     """
     Family.C1_ODD_INTERIOR.check_n(n)
-    if delta_sign not in (+1, -1):
-        raise ValueError("delta_sign must be +1 or -1")
     a = 2.5
+    delta = _sqrt(Fraction(3 * (n * n + 3 * n - 1), n * (n + 3)), delta_sign)
     if n == 1:
         interval = IntervalSpec(
             r=GegenbauerCombo.build(a, []),
             s=GegenbauerCombo.build(a, []),
             a=1,
             fixed_node=(0, 2),
-            extra_weight_factor=FACTOR_ONE,
+            extra_weight_factor=no_extra_factor,
             expected_free_nodes=0,
         )
         return FamilySpec(
-            id=Family.C1_ODD_INTERIOR, n=1, degree=Family.C1_ODD_INTERIOR.degree(1),
-            delta=0, delta_radicand=None, delta_sign=delta_sign,
-            period_intervals=1, intervals=(interval,),
+            id=Family.C1_ODD_INTERIOR, n=1, delta=0, intervals=(interval,),
         )
-    radicand = Fraction(3 * (n * n + 3 * n - 1), n * (n + 3))
-    delta = _sqrt(radicand, delta_sign)
     q1 = 2 * n * n + 6 * n + 1
     interval = IntervalSpec(
         r=GegenbauerCombo.build(
@@ -271,13 +274,11 @@ def build_c1_interior(n: int, delta_sign: int = +1) -> FamilySpec:
             9,
         ),
         fixed_node=None,
-        extra_weight_factor=FACTOR_ONE,
+        extra_weight_factor=no_extra_factor,
         expected_free_nodes=n,
     )
     return FamilySpec(
-        id=Family.C1_ODD_INTERIOR, n=n, degree=Family.C1_ODD_INTERIOR.degree(n),
-        delta=delta, delta_radicand=radicand, delta_sign=delta_sign,
-        period_intervals=1, intervals=(interval,),
+        id=Family.C1_ODD_INTERIOR, n=n, delta=delta, intervals=(interval,),
     )
 
 
@@ -296,8 +297,7 @@ def build_c1_even(n: int) -> FamilySpec:
     """
     Family.C1_EVEN.check_n(n)
     a = 2.5
-    radicand = Fraction(3 * n * (n + 2) * (n * n + 2 * n - 2))
-    delta = _sqrt(radicand, +1)
+    delta = _sqrt(Fraction(3 * n * (n + 2) * (n * n + 2 * n - 2)), +1)
     q = 2 * n * n + 2 * n - 3
     w1 = (
         8 * (2 * n * n + 4 * n - 3)
@@ -321,13 +321,11 @@ def build_c1_even(n: int) -> FamilySpec:
         ),
         a=Fraction(2 * (n - 1) * n * (n + 1) * (n + 2) * (2 * n + 1) * q * q, 9),
         fixed_node=(-1, w1),
-        extra_weight_factor=FACTOR_C1_EVEN,
+        extra_weight_factor=c1_even_factor,
         expected_free_nodes=n - 1,
     )
     return FamilySpec(
-        id=Family.C1_EVEN, n=n, degree=Family.C1_EVEN.degree(n),
-        delta=delta, delta_radicand=radicand, delta_sign=+1,
-        period_intervals=2, intervals=(first,),
+        id=Family.C1_EVEN, n=n, delta=delta, intervals=(first,),
         second_interval_by_reflection=True,
     )
 
@@ -342,8 +340,16 @@ _BUILDERS = {
 
 
 def build_family(family: Family, n: int, delta_sign: int = +1) -> FamilySpec:
-    """Dispatch to the family's builder, forwarding delta_sign where it applies."""
+    """Dispatch to the family's builder, forwarding delta_sign where it applies.
+
+    Only C0 even and C1 odd interior have a sign choice; the other
+    families raise a ValueError naming the family and n for any
+    delta_sign other than +1.
+    """
     builder = _BUILDERS[family]
     if family in (Family.C0_EVEN, Family.C1_ODD_INTERIOR):
         return builder(n, delta_sign=delta_sign)
+    if delta_sign != +1:
+        raise ValueError(f"{family.name} n={n}: delta_sign {delta_sign!r} given, "
+                         "but the family has no sign choice")
     return builder(n)

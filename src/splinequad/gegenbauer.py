@@ -2,12 +2,14 @@
 
 All rule families in this package are expressed through Gegenbauer
 polynomials C_n^(alpha) of half-integer order (alpha = 3/2 for the C0
-rules, 5/2 for the C1 rules, 7/2 for derivatives).  Evaluation is by the
-forward three-term recurrence, which is stable for the degrees and
-arguments used here (n <= 200, x in [-1, 1]).
+rules, 5/2 for the C1 rules).  Evaluation is by the forward three-term
+recurrence, which is stable for the degrees and arguments used here
+(n <= 200, x in [-1, 1]).
 
-The functions are written generically: x may be a float, an mpmath mpf,
-a numpy array of floats (the root scan) or of mpf (the extended-precision
+:func:`eval_combo` is the one evaluator: a single Gegenbauer polynomial
+C_n^(alpha) is the one-term combo ``GegenbauerCombo.build(alpha, [(n, 1)])``.
+It is written generically: x may be a float, an mpmath mpf, a numpy
+array of floats (the root scan) or of mpf (the extended-precision
 polish), or a double-double array (:class:`splinequad.doubledouble.DD`,
 the double-precision polish), and the same code path serves all of them.
 """
@@ -15,32 +17,6 @@ the double-precision polish), and the same code path serves all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-def eval_gegenbauer(alpha, n: int, x):
-    """Value of the Gegenbauer polynomial C_n^(alpha) at x.
-
-    Negative degrees evaluate to 0 by convention; the combination
-    formulas shift degrees by up to 3, and this convention makes them
-    degenerate correctly at small n without special cases.
-    """
-    if n < 0:
-        return 0 * x
-    c_prev = 1 + 0 * x
-    if n == 0:
-        return c_prev
-    c = 2 * alpha * x
-    for k in range(2, n + 1):
-        c, c_prev = (2 * (k + alpha - 1) * x * c - (k + 2 * alpha - 2) * c_prev) / k, c
-    return c
-
-
-def eval_gegenbauer_derivative(alpha, n: int, x):
-    """Derivative d/dx C_n^(alpha)(x), via the order-raising identity
-    d/dx C_n^(alpha) = 2 alpha C_{n-1}^(alpha+1).  Zero for n <= 0."""
-    if n <= 0:
-        return 0 * x
-    return 2 * alpha * eval_gegenbauer(alpha + 1, n - 1, x)
 
 
 @dataclass(frozen=True)
@@ -53,7 +29,9 @@ class GegenbauerCombo:
     multiples of x, or multiples of (1 + x**2).
 
     Terms with negative Gegenbauer degree are identically zero and are
-    dropped at construction (use the ``build`` classmethod).
+    dropped at construction (use the ``build`` classmethod).  The rule
+    formulas shift degrees by up to 3, and this convention makes them
+    degenerate correctly at small n without special cases.
     """
 
     alpha: float

@@ -16,7 +16,6 @@ from splinequad.assembly import (
 from splinequad.catalog import build_rule
 from splinequad.families import (
     EXTENDED_DPS,
-    FACTOR_ONE,
     Family,
     FamilySpec,
     IntervalSpec,
@@ -25,6 +24,7 @@ from splinequad.families import (
     build_c1_even,
     build_c1_interior,
     build_family,
+    no_extra_factor,
 )
 from splinequad.gegenbauer import GegenbauerCombo, eval_combo
 
@@ -104,13 +104,10 @@ class TestAssemble:
         interval = IntervalSpec(
             r=GegenbauerCombo.build(1.5, [(1, 1)]),
             s=GegenbauerCombo.build(1.5, [(0, (0, 1, 0))]),
-            a=1, fixed_node=None, extra_weight_factor=FACTOR_ONE,
+            a=1, fixed_node=None, extra_weight_factor=no_extra_factor,
             expected_free_nodes=1,
         )
-        spec = FamilySpec(
-            id=Family.C0_ODD, n=1, degree=1, delta=0, delta_radicand=None,
-            delta_sign=0, period_intervals=1, intervals=(interval,),
-        )
+        spec = FamilySpec(id=Family.C0_ODD, n=1, delta=0, intervals=(interval,))
         with mpmath.workdps(EXTENDED_DPS):
             with pytest.raises(DegenerateWeight, match=r"C0_ODD n=1: .* at x=0"):
                 assemble(spec, extended=extended)

@@ -163,6 +163,28 @@ class TestPlot:
         assert rc == EXIT_OK
         assert path.exists()
 
+    def test_csv_goes_next_to_an_svg_path_in_a_dotted_directory(self, tmp_path):
+        (tmp_path / "out.d").mkdir()
+        path = tmp_path / "out.d" / "weights"
+        rc = main(["plot", "--class", "c1", "--degree", "7",
+                   "--output", str(path)])
+        assert rc == EXIT_OK
+        assert path.read_text().startswith("<svg")
+        rows = list(csv.reader((tmp_path / "out.d" / "weights.csv").open()))
+        assert rows[0] == ["series", "index", "node", "weight"]
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_svg_path_ending_in_csv_is_usage_error(self, monkeypatch, tmp_path,
+                                                   capsys):
+        # the CSV would overwrite the SVG
+        monkeypatch.setattr(cli, "build_rule", _must_not_build)
+        path = tmp_path / "w.csv"
+        rc = main(["plot", "--class", "c1", "--degree", "7",
+                   "--output", str(path)])
+        assert rc == EXIT_USAGE
+        assert "error" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_degree_past_supported_range_is_usage_error(self, monkeypatch, tmp_path):
         monkeypatch.setattr(cli, "build_rule", _must_not_build)
         rc = main(["plot", "--class", "c1", "--degree", "100001",

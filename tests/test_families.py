@@ -6,9 +6,6 @@ import pytest
 
 from splinequad.families import (
     EXTENDED_DPS,
-    FACTOR_C1_ENDPOINT,
-    FACTOR_C1_EVEN,
-    FACTOR_ONE,
     MAX_N,
     Family,
     build_c0_even,
@@ -17,11 +14,22 @@ from splinequad.families import (
     build_c1_even,
     build_c1_interior,
     build_family,
+    c1_endpoint_factor,
+    c1_even_factor,
+    no_extra_factor,
 )
-from splinequad.catalog import family_for, rule_id
+from splinequad.catalog import build_rule, family_for, rule_id
 from splinequad.gegenbauer import eval_combo
 
-from conftest import family_range
+from conftest import cached_rule, family_range
+
+
+def assert_delta_squares_to(spec, radicand):
+    """delta**2 equals the exact radicand to 1e-48 relative at EXTENDED_DPS."""
+    with mpmath.workdps(EXTENDED_DPS):
+        exact = mpmath.mpf(radicand.numerator) / radicand.denominator
+        assert abs(spec.delta ** 2 - exact) <= mpmath.mpf("1e-48") * exact, \
+            (spec.id, spec.n)
 
 
 class TestC0Odd:
@@ -49,11 +57,11 @@ class TestC0Odd:
 
     def test_structure(self):
         spec = build_c0_odd(4)
-        assert spec.degree == 7
-        assert spec.period_intervals == 2
+        assert Family.C0_ODD.degree(4) == 7
+        assert len(spec.intervals) == 2
         assert not spec.second_interval_by_reflection
         assert all(iv.fixed_node is None for iv in spec.intervals)
-        assert all(iv.extra_weight_factor == FACTOR_ONE for iv in spec.intervals)
+        assert all(iv.extra_weight_factor is no_extra_factor for iv in spec.intervals)
 
     def test_rejects_invalid_n(self):
         with pytest.raises(ValueError):
@@ -78,8 +86,7 @@ class TestC0Even:
 
     def test_delta_radicand_exact(self):
         for n in range(1, 51):
-            spec = build_c0_even(n)
-            assert spec.delta_radicand == Fraction(n + 2, n)
+            assert_delta_squares_to(build_c0_even(n), Fraction(n + 2, n))
 
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):
@@ -96,7 +103,7 @@ class TestC1Endpoint:
         assert iv.fixed_node[1] == pytest.approx(14 / 15)
         # free nodes are roots of C_1^(5/2) = 5x
         assert eval_combo(iv.r, 0.2)[0] == pytest.approx(1.0)
-        assert iv.extra_weight_factor == FACTOR_C1_ENDPOINT
+        assert iv.extra_weight_factor is c1_endpoint_factor
         assert iv.expected_free_nodes == 1
 
     def test_n1_single_endpoint_node(self):
@@ -121,7 +128,7 @@ class TestC1Interior:
     def test_n2_delta(self):
         spec = build_c1_interior(2)
         assert spec.delta == pytest.approx(math.sqrt(27 / 10))
-        assert spec.delta_radicand == Fraction(27, 10)
+        assert_delta_squares_to(spec, Fraction(27, 10))
 
     def test_n2_roots_of_r(self):
         spec = build_c1_interior(2)
@@ -143,12 +150,18 @@ class TestC1Interior:
         with pytest.raises(ValueError):
             build_c1_interior(0)
 
+    def test_rejects_invalid_delta_sign(self):
+        # the hard-coded midpoint limit at n = 1 checks the sign too
+        for n in (1, 2):
+            with pytest.raises(ValueError, match="delta_sign must be"):
+                build_c1_interior(n, delta_sign=3)
+
 
 class TestC1Even:
     def test_n2_exact_delta(self):
         spec = build_c1_even(2)
         assert spec.delta == 12.0
-        assert spec.delta_radicand == Fraction(144)
+        assert_delta_squares_to(spec, Fraction(144))
 
     def test_n2_first_interval(self):
         spec = build_c1_even(2)
@@ -157,7 +170,7 @@ class TestC1Even:
         assert eval_combo(iv.r, 1 / 3)[0] == pytest.approx(0, abs=1e-13)
         assert iv.fixed_node[0] == -1
         assert iv.fixed_node[1] == pytest.approx(13 / 10)  # 13/20 after scaling
-        assert iv.extra_weight_factor == FACTOR_C1_EVEN
+        assert iv.extra_weight_factor is c1_even_factor
 
     def test_reflection_flag(self):
         assert build_c1_even(3).second_interval_by_reflection
@@ -195,18 +208,22 @@ class TestFamilyInvariants:
             Family.C1_EVEN: lambda n: 2 * n,
         }
         for family, n in family_range(12):
-            assert build_family(family, n).degree == expected[family](n)
+            assert family.degree(n) == expected[family](n)
 
     def test_delta_radicand_exact_all_families(self):
         for n in range(2, 51):
-            interior = build_c1_interior(n)
-            assert interior.delta_radicand == Fraction(
-                3 * (n * n + 3 * n - 1), n * (n + 3))
+            assert_delta_squares_to(build_c1_interior(n), Fraction(
+                3 * (n * n + 3 * n - 1), n * (n + 3)))
+            radicand = Fraction(3 * n * (n + 2) * (n * n + 2 * n - 2))
             even = build_c1_even(n)
-            assert even.delta_radicand == Fraction(
-                3 * n * (n + 2) * (n * n + 2 * n - 2))
-            assert even.delta == pytest.approx(
-                math.sqrt(float(even.delta_radicand)), rel=1e-15)
+            assert_delta_squares_to(even, radicand)
+            assert even.delta == pytest.approx(math.sqrt(float(radicand)), rel=1e-15)
+
+    def test_extra_factors(self):
+        for x in (-0.5, 0.0, 0.3):
+            assert no_extra_factor(x) == 1
+            assert c1_endpoint_factor(x) == pytest.approx((1 - x * x) ** 2)
+            assert c1_even_factor(x) == pytest.approx((1 + x) * (1 - x) ** 2)
 
     def test_node_count_per_period(self):
         per_period = {
@@ -224,6 +241,18 @@ class TestFamilyInvariants:
             if spec.second_interval_by_reflection:
                 total += spec.intervals[0].expected_free_nodes
             assert total == per_period[family](n), (family, n)
+
+
+class TestDeltaSign:
+    @pytest.mark.parametrize("delta_sign", [-1, 7])
+    @pytest.mark.parametrize(
+        "family", [Family.C0_ODD, Family.C1_ODD_ENDPOINT, Family.C1_EVEN])
+    def test_families_without_sign_choice_reject_other_than_plus(self, family,
+                                                                 delta_sign):
+        with pytest.raises(ValueError, match=rf"{family.name} n=3: delta_sign"):
+            build_rule(family, 3, delta_sign=delta_sign)
+        with pytest.raises(ValueError, match=rf"{family.name} n=3: delta_sign"):
+            build_family(family, 3, delta_sign=delta_sign)
 
 
 class TestSupportedRange:
@@ -244,7 +273,7 @@ class TestSupportedRange:
     def test_metadata_matches_the_catalog_ids(self):
         # degree and suffix round-trip through family_for
         for family, n in family_range(12):
-            assert family.degree(n) == build_family(family, n).degree
+            assert cached_rule(family, n).degree == family.degree(n)
             assert family_for(family.smoothness, family.degree(n), family.variant) \
                 == (family, n)
         assert rule_id(Family.C1_ODD_INTERIOR, 3) == "C1xD7x2"

@@ -7,14 +7,14 @@ from scipy.special import eval_gegenbauer as scipy_gegenbauer
 
 from splinequad.doubledouble import DD
 from splinequad.families import EXTENDED_DPS, Family, build_family
-from splinequad.gegenbauer import (
-    GegenbauerCombo,
-    eval_combo,
-    eval_gegenbauer,
-    eval_gegenbauer_derivative,
-)
+from splinequad.gegenbauer import GegenbauerCombo, eval_combo
 
 ORDERS = [1.5, 2.5, 3.5]
+
+
+def gegenbauer(alpha, n, x):
+    """C_n^(alpha)(x) and its derivative, from the one-term combo."""
+    return eval_combo(GegenbauerCombo.build(alpha, [(n, 1)]), x)
 
 
 def explicit_low_degree(alpha, n, x):
@@ -32,17 +32,21 @@ def explicit_low_degree(alpha, n, x):
 
 
 class TestEvalGegenbauer:
+    """Single Gegenbauer polynomials through one-term combos."""
+
     def test_degree_one(self):
-        assert eval_gegenbauer(1.5, 1, 0.5) == pytest.approx(1.5)
+        assert gegenbauer(1.5, 1, 0.5)[0] == pytest.approx(1.5)
 
     def test_value_at_one(self):
-        assert eval_gegenbauer(1.5, 2, 1.0) == pytest.approx(6.0)
+        assert gegenbauer(1.5, 2, 1.0)[0] == pytest.approx(6.0)
 
     def test_negative_degree_is_zero(self):
-        assert eval_gegenbauer(2.5, -1, 0.3) == 0
+        combo = GegenbauerCombo.build(2.5, [(-1, 1)])
+        assert combo.is_empty
+        assert eval_combo(combo, 0.3) == (0, 0)
 
     def test_degree_two_at_zero(self):
-        assert eval_gegenbauer(2.5, 2, 0.0) == pytest.approx(-2.5)
+        assert gegenbauer(2.5, 2, 0.0)[0] == pytest.approx(-2.5)
 
     @pytest.mark.parametrize("alpha", ORDERS)
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -50,7 +54,7 @@ class TestEvalGegenbauer:
         rng = np.random.default_rng(42)
         for x in rng.uniform(-1, 1, size=25):
             expected = explicit_low_degree(alpha, n, x)
-            got = eval_gegenbauer(alpha, n, x)
+            got = gegenbauer(alpha, n, x)[0]
             assert got == pytest.approx(expected, rel=1e-14, abs=1e-14)
 
     @pytest.mark.parametrize("alpha", ORDERS)
@@ -59,35 +63,37 @@ class TestEvalGegenbauer:
         for n in range(31):
             expected = math.gamma(n + 2 * alpha) / (
                 math.gamma(2 * alpha) * math.factorial(n))
-            assert eval_gegenbauer(alpha, n, 1.0) == pytest.approx(
+            assert gegenbauer(alpha, n, 1.0)[0] == pytest.approx(
                 expected, rel=1e-13)
 
     def test_vectorized_over_numpy_array(self):
         x = np.linspace(-1, 1, 7)
-        vals = eval_gegenbauer(1.5, 4, x)
+        vals = gegenbauer(1.5, 4, x)[0]
         for xi, vi in zip(x, vals):
-            assert vi == pytest.approx(eval_gegenbauer(1.5, 4, float(xi)))
+            assert vi == pytest.approx(gegenbauer(1.5, 4, float(xi))[0])
 
     def test_orthogonality_weight_one_minus_x2(self):
         # order 3/2 is orthogonal under the weight (1 - x^2)
         nodes, weights = np.polynomial.legendre.leggauss(64)
         for m in range(11):
             for n in range(m + 1, 11):
-                vals = (1 - nodes ** 2) * eval_gegenbauer(1.5, m, nodes) \
-                    * eval_gegenbauer(1.5, n, nodes)
+                vals = (1 - nodes ** 2) * gegenbauer(1.5, m, nodes)[0] \
+                    * gegenbauer(1.5, n, nodes)[0]
                 assert abs(float(weights @ vals)) <= 1e-12
 
 
 class TestDerivative:
+    """Derivatives of single Gegenbauer polynomials through one-term combos."""
+
     def test_linear(self):
         for x in (-0.8, 0.0, 0.3):
-            assert eval_gegenbauer_derivative(1.5, 1, x) == pytest.approx(3.0)
+            assert gegenbauer(1.5, 1, x)[1] == pytest.approx(3.0)
 
     def test_quadratic_at_one(self):
-        assert eval_gegenbauer_derivative(1.5, 2, 1.0) == pytest.approx(15.0)
+        assert gegenbauer(1.5, 2, 1.0)[1] == pytest.approx(15.0)
 
     def test_constant_is_zero(self):
-        assert eval_gegenbauer_derivative(2.5, 0, 0.7) == 0
+        assert gegenbauer(2.5, 0, 0.7)[1] == 0
 
     @pytest.mark.parametrize("alpha", ORDERS)
     def test_against_central_differences(self, alpha):
@@ -95,9 +101,9 @@ class TestDerivative:
         rng = np.random.default_rng(7)
         for n in [1, 2, 5, 10, 20, 30]:
             for x in rng.uniform(-0.9, 0.9, size=5):
-                fd = (eval_gegenbauer(alpha, n, x + h)
-                      - eval_gegenbauer(alpha, n, x - h)) / (2 * h)
-                got = eval_gegenbauer_derivative(alpha, n, x)
+                fd = (gegenbauer(alpha, n, x + h)[0]
+                      - gegenbauer(alpha, n, x - h)[0]) / (2 * h)
+                got = gegenbauer(alpha, n, x)[1]
                 assert got == pytest.approx(fd, rel=1e-7, abs=1e-7)
 
 
