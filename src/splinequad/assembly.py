@@ -148,7 +148,7 @@ def _free(iv, arith: Arithmetic) -> tuple:
     and each node and weight is rounded once, at the end.
     """
     r = iv.r.map(arith.lift)
-    x = polish(r, isolate_and_refine(iv.r, -1, 1, iv.expected_free_nodes), arith)
+    x = polish(r, isolate_and_refine(iv.r, iv.expected_free_nodes), arith)
     _, rder = eval_combo(r, x)
     sval, _ = eval_combo(iv.s.map(arith.lift), x)
     denom = rder * sval * iv.extra_weight_factor(x)

@@ -1,12 +1,15 @@
 """Closed-form construction data for the five spline quadrature families.
 
-Each builder returns a :class:`FamilySpec`: the family, n, delta, and
-per interval of the period an :class:`IntervalSpec` holding the
-polynomial R whose roots are the free nodes, the companion polynomial S
-of the weight denominator, the normalization constant A, an optional
-fixed endpoint node with its closed-form weight, the extra denominator
-factor f (a function of x), and the number of free nodes.  The weights
-of the free nodes are A / (R'(x) S(x) f(x)).  The C1 even spec lists
+:func:`build_family` is the one way to build a spec.  It checks the
+family, n and the delta sign, then runs the family's private formula
+function at EXTENDED_DPS.  The result is a :class:`FamilySpec`: the
+family, n, delta, and per interval of the period an
+:class:`IntervalSpec` holding the polynomial R whose roots are the free
+nodes, the companion polynomial S of the weight denominator, the
+normalization constant A, an optional fixed endpoint node with its
+closed-form weight, the extra denominator factor f (a function of x),
+and the number of free nodes.  The weights of the free nodes are
+A / (R'(x) S(x) f(x)).  The C1 even spec lists
 its first interval only: the second is the first's free part reflected
 at 0.  That is all :func:`splinequad.assembly.assemble` reads; the
 degree and the period length follow from the family and the intervals.
@@ -30,6 +33,7 @@ C1 even      2n      2         endpoint + (n-1) nodes, mirrored interval
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -101,9 +105,11 @@ class Family(enum.Enum):
         return "x2" if self.variant == "interior" else ""
 
     def check_n(self, n: int):
-        """Raise a ValueError naming the family and n outside min_n..MAX_N."""
-        if not self.min_n <= n <= MAX_N:
-            raise ValueError(f"{self.name} n={n}: outside {self.min_n} <= n <= {MAX_N}")
+        """Raise a ValueError naming the family and n unless n is an
+        integer in min_n..MAX_N."""
+        if not (isinstance(n, numbers.Integral) and self.min_n <= n <= MAX_N):
+            raise ValueError(f"{self.name} n={n!r}: n must be an integer "
+                             f"in {self.min_n}..{MAX_N}")
 
 
 @dataclass(frozen=True)
@@ -113,9 +119,9 @@ class IntervalSpec:
     r: GegenbauerCombo
     s: GegenbauerCombo
     a: object  # normalization constant, exact (int or Fraction)
-    fixed_node: Optional[tuple]  # (x, w) or None; x an int, w exact or mpf
-    extra_weight_factor: Callable  # f(x) of the weight denominators
     expected_free_nodes: int
+    fixed_node: Optional[tuple] = None  # (x, w); x an int, w exact or mpf
+    extra_weight_factor: Callable = no_extra_factor  # f(x) of the denominators
 
 
 @dataclass(frozen=True)
@@ -129,43 +135,35 @@ class FamilySpec:
     second_interval_by_reflection: bool = False
 
 
-def _sqrt(radicand: Fraction, sign: int):
-    """sign * sqrt(radicand) at the working precision.
+def _sqrt(radicand: Fraction):
+    """sqrt(radicand) as an mpf at the working precision.
 
-    The builders that call this run at EXTENDED_DPS, so delta and every
-    coefficient computed from it are mpf values at that precision; all
-    other coefficients are exact ints or Fractions.  A sign other than
-    +1 or -1 raises a ValueError.
+    :func:`build_family` runs every formula at EXTENDED_DPS, so delta
+    and every coefficient computed from it are mpf values at that
+    precision; all other coefficients are exact ints or Fractions.
     """
-    if sign not in (+1, -1):
-        raise ValueError("delta_sign must be +1 or -1")
     num = mpmath.mpf(radicand.numerator)
     den = mpmath.mpf(radicand.denominator)
-    return sign * mpmath.sqrt(num / den)
+    return mpmath.sqrt(num / den)
 
 
-def build_c0_odd(n: int) -> FamilySpec:
+def _c0_odd(n: int) -> FamilySpec:
     """C0, odd degree D = 2n - 1, periodic over two intervals.
 
     First interval: R_n = n^2 C_n - (n+1)^2 C_{n-2} with n free nodes;
     second interval: R_{n-1} = C_{n-1} with n - 1 free nodes.  Order 3/2.
     """
-    Family.C0_ODD.check_n(n)
     a = 1.5
     first = IntervalSpec(
         r=GegenbauerCombo.build(a, [(n, n * n), (n - 2, -((n + 1) ** 2))]),
         s=GegenbauerCombo.build(a, [(n - 1, n), (n - 2, (0, -(n + 1), 0))]),
         a=2 * (n + 1) * (2 * n + 1) * n * n,
-        fixed_node=None,
-        extra_weight_factor=no_extra_factor,
         expected_free_nodes=n,
     )
     second = IntervalSpec(
         r=GegenbauerCombo.build(a, [(n - 1, 1)]),
         s=GegenbauerCombo.build(a, [(n - 2, 2 * n - 1), (n - 3, (0, -n, 0))]),
         a=2 * n * (2 * n - 1),
-        fixed_node=None,
-        extra_weight_factor=no_extra_factor,
         expected_free_nodes=n - 1,
     )
     return FamilySpec(
@@ -173,16 +171,14 @@ def build_c0_odd(n: int) -> FamilySpec:
     )
 
 
-@mpmath.workdps(EXTENDED_DPS)
-def build_c0_even(n: int, delta_sign: int = +1) -> FamilySpec:
+def _c0_even(n: int, delta_sign: int) -> FamilySpec:
     """C0, even degree D = 2n, periodic over one interval.
 
     delta = sqrt((n+2)/n); both signs are admissible and give mirror-image
-    rules.  The default + sign matches the reference tables.
+    rules.  The + sign matches the reference tables.
     """
-    Family.C0_EVEN.check_n(n)
     a = 1.5
-    delta = _sqrt(Fraction(n + 2, n), delta_sign)
+    delta = delta_sign * _sqrt(Fraction(n + 2, n))
     interval = IntervalSpec(
         r=GegenbauerCombo.build(a, [(n, 1), (n - 1, delta)]),
         s=GegenbauerCombo.build(
@@ -190,8 +186,6 @@ def build_c0_even(n: int, delta_sign: int = +1) -> FamilySpec:
             [(n - 1, (2 * n + 1, delta * n, 0)), (n - 2, (0, -(n + 1), 0))],
         ),
         a=2 * (n + 1) * (2 * n + 1),
-        fixed_node=None,
-        extra_weight_factor=no_extra_factor,
         expected_free_nodes=n,
     )
     return FamilySpec(
@@ -199,31 +193,29 @@ def build_c0_even(n: int, delta_sign: int = +1) -> FamilySpec:
     )
 
 
-def build_c1_endpoint(n: int) -> FamilySpec:
+def _c1_endpoint(n: int) -> FamilySpec:
     """C1, odd degree D = 2n + 1, one interval, with a node at x = -1.
 
     The free nodes are the roots of C_{n-1}^(5/2); the endpoint weight has
     its own closed form and the free-node denominators carry the extra
     factor (1 - x^2)^2.
     """
-    Family.C1_ODD_ENDPOINT.check_n(n)
     a = 2.5
     w1 = Fraction(16 * (2 * n * n + 6 * n + 1), 3 * n * (n + 1) * (n + 2) * (n + 3))
     interval = IntervalSpec(
         r=GegenbauerCombo.build(a, [(n - 1, 1)]),
         s=GegenbauerCombo.build(a, [(n - 2, 1)]),
         a=Fraction(2 * n * (n + 1) * (n + 2), 9),
+        expected_free_nodes=n - 1,
         fixed_node=(-1, w1),
         extra_weight_factor=c1_endpoint_factor,
-        expected_free_nodes=n - 1,
     )
     return FamilySpec(
         id=Family.C1_ODD_ENDPOINT, n=n, delta=0, intervals=(interval,),
     )
 
 
-@mpmath.workdps(EXTENDED_DPS)
-def build_c1_interior(n: int, delta_sign: int = +1) -> FamilySpec:
+def _c1_interior(n: int, delta_sign: int) -> FamilySpec:
     """C1, odd degree D = 2n + 1, one interval, all nodes interior.
 
     delta = sqrt(3(n^2 + 3n - 1) / (n (n+3))), positive root only: the
@@ -233,24 +225,21 @@ def build_c1_interior(n: int, delta_sign: int = +1) -> FamilySpec:
 
     The formulas degenerate at n = 1 (the C_n coefficient vanishes), but
     the limiting rule is the midpoint rule: single node 0 with weight 2 on
-    [-1, 1].  That case is hard-coded, with delta 0; delta_sign is
-    checked all the same.
+    [-1, 1].  That case is hard-coded, with delta 0.
     """
-    Family.C1_ODD_INTERIOR.check_n(n)
     a = 2.5
-    delta = _sqrt(Fraction(3 * (n * n + 3 * n - 1), n * (n + 3)), delta_sign)
     if n == 1:
         interval = IntervalSpec(
             r=GegenbauerCombo.build(a, []),
             s=GegenbauerCombo.build(a, []),
             a=1,
-            fixed_node=(0, 2),
-            extra_weight_factor=no_extra_factor,
             expected_free_nodes=0,
+            fixed_node=(0, 2),
         )
         return FamilySpec(
             id=Family.C1_ODD_INTERIOR, n=1, delta=0, intervals=(interval,),
         )
+    delta = delta_sign * _sqrt(Fraction(3 * (n * n + 3 * n - 1), n * (n + 3)))
     q1 = 2 * n * n + 6 * n + 1
     interval = IntervalSpec(
         r=GegenbauerCombo.build(
@@ -273,8 +262,6 @@ def build_c1_interior(n: int, delta_sign: int = +1) -> FamilySpec:
             * (2 * n * n + 2 * n - 3) * q1,
             9,
         ),
-        fixed_node=None,
-        extra_weight_factor=no_extra_factor,
         expected_free_nodes=n,
     )
     return FamilySpec(
@@ -287,17 +274,15 @@ def _one_plus_x2(c):
     return (c, 0, c)
 
 
-@mpmath.workdps(EXTENDED_DPS)
-def build_c1_even(n: int) -> FamilySpec:
+def _c1_even(n: int) -> FamilySpec:
     """C1, even degree D = 2n, periodic over two intervals ("1/2 rule").
 
     First interval: node at -1 with a closed-form weight plus the n - 1
     roots of R_{n-1}, denominators carrying (1 + x)(1 - x)^2.  The second
     interval is the first's free nodes reflected at 0, same weights.
     """
-    Family.C1_EVEN.check_n(n)
     a = 2.5
-    delta = _sqrt(Fraction(3 * n * (n + 2) * (n * n + 2 * n - 2)), +1)
+    delta = _sqrt(Fraction(3 * n * (n + 2) * (n * n + 2 * n - 2)))
     q = 2 * n * n + 2 * n - 3
     w1 = (
         8 * (2 * n * n + 4 * n - 3)
@@ -320,9 +305,9 @@ def build_c1_even(n: int) -> FamilySpec:
             ],
         ),
         a=Fraction(2 * (n - 1) * n * (n + 1) * (n + 2) * (2 * n + 1) * q * q, 9),
+        expected_free_nodes=n - 1,
         fixed_node=(-1, w1),
         extra_weight_factor=c1_even_factor,
-        expected_free_nodes=n - 1,
     )
     return FamilySpec(
         id=Family.C1_EVEN, n=n, delta=delta, intervals=(first,),
@@ -330,26 +315,35 @@ def build_c1_even(n: int) -> FamilySpec:
     )
 
 
-_BUILDERS = {
-    Family.C0_ODD: build_c0_odd,
-    Family.C0_EVEN: build_c0_even,
-    Family.C1_ODD_ENDPOINT: build_c1_endpoint,
-    Family.C1_ODD_INTERIOR: build_c1_interior,
-    Family.C1_EVEN: build_c1_even,
+_FORMULAS = {
+    Family.C0_ODD: _c0_odd,
+    Family.C0_EVEN: _c0_even,
+    Family.C1_ODD_ENDPOINT: _c1_endpoint,
+    Family.C1_ODD_INTERIOR: _c1_interior,
+    Family.C1_EVEN: _c1_even,
 }
+
+# the families with a choice of delta sign; their formulas take it
+_SIGN_CHOICE = (Family.C0_EVEN, Family.C1_ODD_INTERIOR)
 
 
 def build_family(family: Family, n: int, delta_sign: int = +1) -> FamilySpec:
-    """Dispatch to the family's builder, forwarding delta_sign where it applies.
+    """The spec of ``family`` at index n, its formulas run at EXTENDED_DPS.
 
-    Only C0 even and C1 odd interior have a sign choice; the other
-    families raise a ValueError naming the family and n for any
-    delta_sign other than +1.
+    Raises a ValueError naming the family and n when family is not a
+    :class:`Family`, when n is not an integer in the family's range
+    (:meth:`Family.check_n`), or when delta_sign is not allowed: +1 or
+    -1 for C0 even and C1 odd interior, +1 for the families without a
+    sign choice.
     """
-    builder = _BUILDERS[family]
-    if family in (Family.C0_EVEN, Family.C1_ODD_INTERIOR):
-        return builder(n, delta_sign=delta_sign)
-    if delta_sign != +1:
-        raise ValueError(f"{family.name} n={n}: delta_sign {delta_sign!r} given, "
-                         "but the family has no sign choice")
-    return builder(n)
+    if not isinstance(family, Family):
+        raise ValueError(f"{family!r} n={n!r}: not a Family")
+    family.check_n(n)
+    n = int(n)  # any Integral passes check_n; mpmath and Fraction take int
+    signed = family in _SIGN_CHOICE
+    if delta_sign not in ((+1, -1) if signed else (+1,)):
+        raise ValueError(f"{family.name} n={n}: delta_sign must be "
+                         f"{'+1 or -1' if signed else '+1'}, not {delta_sign!r}")
+    formula = _FORMULAS[family]
+    with mpmath.workdps(EXTENDED_DPS):
+        return formula(n, delta_sign) if signed else formula(n)

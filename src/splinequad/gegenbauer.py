@@ -45,8 +45,6 @@ class GegenbauerCombo:
                 continue
             if not isinstance(coeff, tuple):
                 coeff = (coeff, 0, 0)
-            if len(coeff) < 3:
-                coeff = tuple(coeff) + (0,) * (3 - len(coeff))
             cleaned.append((degree, coeff))
         return cls(alpha, tuple(cleaned))
 
@@ -55,24 +53,6 @@ class GegenbauerCombo:
         (e.g. ``float``, or a double-double constructor)."""
         return GegenbauerCombo(self.alpha, tuple(
             (d, tuple(convert(c) for c in coeff)) for d, coeff in self.terms))
-
-    @property
-    def degree(self) -> int:
-        """Degree as an ordinary polynomial; -1 for the empty combo.
-
-        Assumes no leading-coefficient cancellation between terms, which
-        holds for every combo built by the rule families (their terms
-        have distinct total degrees).
-        """
-        best = -1
-        for d, (c0, c1, c2) in self.terms:
-            if c2:
-                best = max(best, d + 2)
-            elif c1:
-                best = max(best, d + 1)
-            elif c0:
-                best = max(best, d)
-        return best
 
     @property
     def is_empty(self) -> bool:

@@ -1,7 +1,9 @@
 """Bracketing + Newton root finding for Gegenbauer combinations, in double.
 
-The rule formulas guarantee how many simple roots R has inside [-1, 1],
-so the solver takes the expected count as input and treats any other
+Every root sought lies in the reference interval [-1, 1], the one
+interval the rule formulas are stated on, so that is the only interval
+searched.  The formulas guarantee how many simple roots R has there, so
+the solver takes the expected count as input and treats any other
 outcome as an error (:class:`CountMismatch`).  Isolation uses a
 Chebyshev-distributed scan grid, which clusters points near the interval
 ends where several families crowd their roots; a uniform grid starts
@@ -48,10 +50,9 @@ class RootSet:
     brackets: tuple
 
 
-def _chebyshev_grid(lo: float, hi: float, m: int) -> list:
-    """m points on [lo, hi] clustered at the ends, sorted ascending."""
-    k = np.arange(m)
-    return list((lo + hi) / 2 - (hi - lo) / 2 * np.cos(np.pi * k / (m - 1)))
+def _chebyshev_grid(m: int) -> list:
+    """m points on [-1, 1] clustered at the ends, sorted ascending."""
+    return list(-np.cos(np.pi * np.arange(m) / (m - 1)))
 
 
 def _scan(p: GegenbauerCombo, grid) -> list:
@@ -114,8 +115,8 @@ def refine_root(p: GegenbauerCombo, bracket):
     return x
 
 
-def isolate_and_refine(p: GegenbauerCombo, lo, hi, expected_count: int) -> RootSet:
-    """Find exactly expected_count simple roots of p in [lo, hi], in double.
+def isolate_and_refine(p: GegenbauerCombo, expected_count: int) -> RootSet:
+    """Find exactly expected_count simple roots of p in [-1, 1], in double.
 
     Scans a Chebyshev grid of max(64, 8 * expected_count) points, retries
     once at 4x density, and raises :class:`CountMismatch` if the bracket
@@ -129,12 +130,12 @@ def isolate_and_refine(p: GegenbauerCombo, lo, hi, expected_count: int) -> RootS
     pf = p.map(float)
     m = max(64, 8 * expected_count)
     for density in (m, 4 * m):
-        brackets = _scan(pf, _chebyshev_grid(float(lo), float(hi), density))
+        brackets = _scan(pf, _chebyshev_grid(density))
         if len(brackets) == expected_count:
             break
     else:
         raise CountMismatch(
-            f"expected {expected_count} roots in [{lo}, {hi}], "
+            f"expected {expected_count} roots in [-1, 1], "
             f"isolated {len(brackets)}"
         )
     found = sorted((refine_root(pf, b), b) for b in brackets)

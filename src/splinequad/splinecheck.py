@@ -3,10 +3,11 @@
 Two checks live here, deliberately decoupled from the rule construction
 code:
 
-* spline exactness - replicate a rule over several periods, build the
+* spline exactness - tile a rule over ``COPIES`` periods, build the
   matching uniform spline space (integer breakpoints, knot multiplicity
-  D - c) and compare the quadrature of every interior basis function
-  with the exact knot-difference integral (t_{i+D+1} - t_i) / (D + 1);
+  D - c, with the class c taken from the rule's family) and compare the
+  quadrature of every interior basis function with the exact
+  knot-difference integral (t_{i+D+1} - t_i) / (D + 1);
 * golden regression - positional comparison against the checked-in
   25-digit reference tables.
 
@@ -25,6 +26,9 @@ from importlib import resources
 
 from .assembly import ScaledRule, replicate_periodically
 
+# periods check_exactness tiles a rule over
+COPIES = 6
+
 
 class EntryCountMismatch(Exception):
     """Generated rule and reference table disagree on the number of entries."""
@@ -39,7 +43,6 @@ class KnotVector:
     partition of unity on [0, num_spans]."""
 
     degree: int
-    continuity: int
     num_spans: int
     knots: tuple
 
@@ -56,7 +59,7 @@ def make_knot_vector(degree: int, continuity: int, num_spans: int) -> KnotVector
     for b in range(1, num_spans):
         knots.extend([b] * mult)
     knots.extend([num_spans] * (degree + 1))
-    return KnotVector(degree, continuity, num_spans, tuple(knots))
+    return KnotVector(degree, num_spans, tuple(knots))
 
 
 def _find_span(kv: KnotVector, x) -> int:
@@ -122,25 +125,22 @@ class ExactnessReport:
     tested_basis_count: int
 
 
-def check_exactness(rule: ScaledRule, copies: int = 6,
-                    degree: int | None = None,
-                    continuity: int | None = None) -> ExactnessReport:
-    """Quadrature error of the replicated rule over every interior B-spline.
+def check_exactness(rule: ScaledRule, degree: int | None = None) -> ExactnessReport:
+    """Quadrature error of the rule tiled over ``COPIES`` periods, over
+    every interior B-spline.
 
-    By default the spline space matches the rule (its exactness degree
-    and smoothness class); passing degree = rule.degree + 1 provides the
+    The spline space has the rule's smoothness class and, by default,
+    its exactness degree; passing degree = rule.degree + 1 provides the
     negative control showing the rule is sharp.  Interior means the
     basis support keeps a margin of one breakpoint from both ends of the
     replicated span.
     """
     if degree is None:
         degree = rule.degree
-    if continuity is None:
-        continuity = rule.family.smoothness
-    span_count = copies * rule.period_intervals
-    kv = make_knot_vector(degree, continuity, span_count)
+    span_count = COPIES * rule.period_intervals
+    kv = make_knot_vector(degree, rule.family.smoothness, span_count)
     sums = [0.0] * kv.num_basis
-    for x, w in replicate_periodically(rule, copies):
+    for x, w in replicate_periodically(rule, COPIES):
         x = float(x)
         w = float(w)
         span = _find_span(kv, x)

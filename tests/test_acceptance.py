@@ -12,7 +12,7 @@ import time
 import pytest
 
 from splinequad.catalog import build_rule, family_for
-from splinequad.families import Family, build_c1_interior
+from splinequad.families import Family, build_family
 from splinequad.rootfind import CountMismatch, isolate_and_refine
 from splinequad.splinecheck import (
     check_exactness,
@@ -217,10 +217,10 @@ def test_criterion_6_rejected_delta_branch():
     raised = 0
     tried = list(range(2, 11))
     for n in tried:
-        spec = build_c1_interior(n, delta_sign=-1)
+        spec = build_family(Family.C1_ODD_INTERIOR, n, delta_sign=-1)
         iv = spec.intervals[0]
         with pytest.raises(CountMismatch):
-            isolate_and_refine(iv.r, -1, 1, iv.expected_free_nodes)
+            isolate_and_refine(iv.r, iv.expected_free_nodes)
         raised += 1
     ok = raised == len(tried)
     _report(

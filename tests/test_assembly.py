@@ -19,12 +19,7 @@ from splinequad.families import (
     Family,
     FamilySpec,
     IntervalSpec,
-    build_c0_odd,
-    build_c1_endpoint,
-    build_c1_even,
-    build_c1_interior,
     build_family,
-    no_extra_factor,
 )
 from splinequad.gegenbauer import GegenbauerCombo, eval_combo
 
@@ -33,7 +28,7 @@ from conftest import cached_rule, family_range
 
 class TestAssemble:
     def test_c0_odd_n2_closed_form(self):
-        rule = assemble(build_c0_odd(2))
+        rule = assemble(build_family(Family.C0_ODD, 2))
         first, second = rule.intervals
         r = 1 / math.sqrt(2)
         assert first.nodes == pytest.approx((-r, r), abs=1e-15)
@@ -42,13 +37,13 @@ class TestAssemble:
         assert second.weights == pytest.approx((4 / 3,), rel=1e-14)
 
     def test_c0_odd_n1_is_midpoint_every_other_interval(self):
-        rule = assemble(build_c0_odd(1))
+        rule = assemble(build_family(Family.C0_ODD, 1))
         assert rule.intervals[0].nodes == pytest.approx((0.0,), abs=1e-15)
         assert rule.intervals[0].weights == pytest.approx((4.0,), rel=1e-14)
         assert rule.intervals[1].nodes == ()
 
     def test_c1_endpoint_n2_closed_form(self):
-        rule = assemble(build_c1_endpoint(2))
+        rule = assemble(build_family(Family.C1_ODD_ENDPOINT, 2))
         iv = rule.intervals[0]
         assert iv.nodes == pytest.approx((-1.0, 0.0), abs=1e-15)
         assert iv.weights == pytest.approx((14 / 15, 16 / 15), rel=1e-14)
@@ -61,7 +56,7 @@ class TestAssemble:
             assert all(x > -1 for x in iv.nodes[1:])
 
     def test_c1_even_second_interval_is_reflection(self):
-        rule = assemble(build_c1_even(5))
+        rule = assemble(build_family(Family.C1_EVEN, 5))
         first, second = rule.intervals
         free = list(zip(first.nodes[1:], first.weights[1:]))
         mirrored = sorted((-x, w) for x, w in free)
@@ -69,7 +64,7 @@ class TestAssemble:
         assert second.weights == tuple(w for _, w in mirrored)
 
     def test_c1_interior_midpoint_limit(self):
-        rule = assemble(build_c1_interior(1))
+        rule = assemble(build_family(Family.C1_ODD_INTERIOR, 1))
         assert rule.intervals[0].nodes == (0.0,)
         assert rule.intervals[0].weights == (2.0,)
 
@@ -89,13 +84,13 @@ class TestAssemble:
     def test_c1_endpoint_free_nodes_match_scipy(self):
         # independent oracle: the free nodes are the roots of C_{n-1}^(5/2)
         for n in range(2, 61):
-            nodes = assemble(build_c1_endpoint(n)).intervals[0].nodes[1:]
+            nodes = assemble(build_family(Family.C1_ODD_ENDPOINT, n)).intervals[0].nodes[1:]
             expected = sorted(roots_gegenbauer(n - 1, 2.5)[0])
             assert max(abs(x - y) for x, y in zip(nodes, expected)) <= 1e-14, n
 
     def test_deterministic(self):
-        a = assemble(build_c1_even(7))
-        b = assemble(build_c1_even(7))
+        a = assemble(build_family(Family.C1_EVEN, 7))
+        b = assemble(build_family(Family.C1_EVEN, 7))
         assert a == b
 
     @pytest.mark.parametrize("extended", [False, True])
@@ -104,8 +99,7 @@ class TestAssemble:
         interval = IntervalSpec(
             r=GegenbauerCombo.build(1.5, [(1, 1)]),
             s=GegenbauerCombo.build(1.5, [(0, (0, 1, 0))]),
-            a=1, fixed_node=None, extra_weight_factor=no_extra_factor,
-            expected_free_nodes=1,
+            a=1, expected_free_nodes=1,
         )
         spec = FamilySpec(id=Family.C0_ODD, n=1, delta=0, intervals=(interval,))
         with mpmath.workdps(EXTENDED_DPS):
@@ -115,7 +109,7 @@ class TestAssemble:
 
 class TestScaling:
     def test_unit_interval_mapping(self):
-        rule = scale_to_unit_intervals(assemble(build_c0_odd(2)))
+        rule = scale_to_unit_intervals(assemble(build_family(Family.C0_ODD, 2)))
         first, second = rule.intervals
         r = 1 / math.sqrt(2)
         assert first.nodes == pytest.approx(((1 - r) / 2, (1 + r) / 2))

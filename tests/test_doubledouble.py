@@ -87,8 +87,7 @@ class TestComboEvaluation:
         rng = np.random.default_rng(13)
         spec = build_family(family, 80)
         for iv in spec.intervals:
-            roots = isolate_and_refine(
-                iv.r.map(float), -1, 1, iv.expected_free_nodes).roots
+            roots = isolate_and_refine(iv.r.map(float), iv.expected_free_nodes).roots
             hi = np.concatenate([rng.uniform(-1, 1, 6), rng.choice(roots, 6),
                                  [-1.0, 1.0]])
             lo = hi * rng.uniform(-1, 1, hi.size) * 2.0 ** -60

@@ -2,17 +2,13 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from splinequad.families import (
     EXTENDED_DPS,
     MAX_N,
     Family,
-    build_c0_even,
-    build_c0_odd,
-    build_c1_endpoint,
-    build_c1_even,
-    build_c1_interior,
     build_family,
     c1_endpoint_factor,
     c1_even_factor,
@@ -20,6 +16,7 @@ from splinequad.families import (
 )
 from splinequad.catalog import build_rule, family_for, rule_id
 from splinequad.gegenbauer import eval_combo
+from splinequad.rootfind import isolate_and_refine
 
 from conftest import cached_rule, family_range
 
@@ -34,7 +31,7 @@ def assert_delta_squares_to(spec, radicand):
 
 class TestC0Odd:
     def test_n2_first_interval(self):
-        spec = build_c0_odd(2)
+        spec = build_family(Family.C0_ODD, 2)
         iv = spec.intervals[0]
         # R = 4 C_2 - 9 C_0 = 30 x^2 - 15
         for x in (-0.7, 0.0, 0.4):
@@ -43,7 +40,7 @@ class TestC0Odd:
         assert iv.expected_free_nodes == 2
 
     def test_n2_second_interval(self):
-        spec = build_c0_odd(2)
+        spec = build_family(Family.C0_ODD, 2)
         iv = spec.intervals[1]
         for x in (-0.5, 0.25):
             assert eval_combo(iv.r, x)[0] == pytest.approx(3 * x)
@@ -51,12 +48,12 @@ class TestC0Odd:
         assert iv.expected_free_nodes == 1
 
     def test_n1_second_interval_has_no_free_nodes(self):
-        spec = build_c0_odd(1)
+        spec = build_family(Family.C0_ODD, 1)
         assert spec.intervals[1].expected_free_nodes == 0
-        assert spec.intervals[1].r.degree == 0
+        assert spec.intervals[1].r.terms == ((0, (1, 0, 0)),)  # R = C_0 = 1
 
     def test_structure(self):
-        spec = build_c0_odd(4)
+        spec = build_family(Family.C0_ODD, 4)
         assert Family.C0_ODD.degree(4) == 7
         assert len(spec.intervals) == 2
         assert not spec.second_interval_by_reflection
@@ -65,12 +62,12 @@ class TestC0Odd:
 
     def test_rejects_invalid_n(self):
         with pytest.raises(ValueError):
-            build_c0_odd(0)
+            build_family(Family.C0_ODD, 0)
 
 
 class TestC0Even:
     def test_n1_plus_sign(self):
-        spec = build_c0_even(1)
+        spec = build_family(Family.C0_EVEN, 1)
         assert spec.delta == pytest.approx(math.sqrt(3))
         iv = spec.intervals[0]
         # R = C_1 + sqrt(3) C_0 vanishes at -1/sqrt(3)
@@ -78,26 +75,26 @@ class TestC0Even:
         assert iv.a == 12
 
     def test_minus_sign_flips_delta(self):
-        plus = build_c0_even(3, delta_sign=+1)
-        minus = build_c0_even(3, delta_sign=-1)
+        plus = build_family(Family.C0_EVEN, 3, delta_sign=+1)
+        minus = build_family(Family.C0_EVEN, 3, delta_sign=-1)
         with mpmath.workdps(EXTENDED_DPS):  # delta carries 50 digits
             assert minus.delta == -plus.delta
         assert plus.delta == pytest.approx(math.sqrt(5 / 3))
 
     def test_delta_radicand_exact(self):
         for n in range(1, 51):
-            assert_delta_squares_to(build_c0_even(n), Fraction(n + 2, n))
+            assert_delta_squares_to(build_family(Family.C0_EVEN, n), Fraction(n + 2, n))
 
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):
-            build_c0_even(0)
-        with pytest.raises(ValueError):
-            build_c0_even(2, delta_sign=3)
+            build_family(Family.C0_EVEN, 0)
+        with pytest.raises(ValueError, match=r"C0_EVEN n=2: delta_sign must be \+1 or -1"):
+            build_family(Family.C0_EVEN, 2, delta_sign=3)
 
 
 class TestC1Endpoint:
     def test_n2(self):
-        spec = build_c1_endpoint(2)
+        spec = build_family(Family.C1_ODD_ENDPOINT, 2)
         iv = spec.intervals[0]
         assert iv.fixed_node[0] == -1
         assert iv.fixed_node[1] == pytest.approx(14 / 15)
@@ -107,13 +104,13 @@ class TestC1Endpoint:
         assert iv.expected_free_nodes == 1
 
     def test_n1_single_endpoint_node(self):
-        spec = build_c1_endpoint(1)
+        spec = build_family(Family.C1_ODD_ENDPOINT, 1)
         iv = spec.intervals[0]
         assert iv.expected_free_nodes == 0
         assert iv.fixed_node[1] == pytest.approx(2.0)
 
     def test_n3_free_polynomial(self):
-        spec = build_c1_endpoint(3)
+        spec = build_family(Family.C1_ODD_ENDPOINT, 3)
         iv = spec.intervals[0]
         # C_2^(5/2) = (35 x^2 - 5) / 2
         for x in (0.1, 0.6):
@@ -121,50 +118,51 @@ class TestC1Endpoint:
 
     def test_rejects_invalid_n(self):
         with pytest.raises(ValueError):
-            build_c1_endpoint(0)
+            build_family(Family.C1_ODD_ENDPOINT, 0)
 
 
 class TestC1Interior:
     def test_n2_delta(self):
-        spec = build_c1_interior(2)
+        spec = build_family(Family.C1_ODD_INTERIOR, 2)
         assert spec.delta == pytest.approx(math.sqrt(27 / 10))
         assert_delta_squares_to(spec, Fraction(27, 10))
 
     def test_n2_roots_of_r(self):
-        spec = build_c1_interior(2)
+        spec = build_family(Family.C1_ODD_INTERIOR, 2)
         root = math.sqrt(1 - 2 * math.sqrt(30) / 15)
         for x in (root, -root):
             assert eval_combo(spec.intervals[0].r, x)[0] == pytest.approx(0, abs=1e-12)
 
     def test_n1_is_midpoint_rule(self):
-        spec = build_c1_interior(1)
+        spec = build_family(Family.C1_ODD_INTERIOR, 1)
         iv = spec.intervals[0]
         assert iv.expected_free_nodes == 0
         assert iv.fixed_node == (0, 2)
 
     def test_negative_delta_diagnostic_mode(self):
-        spec = build_c1_interior(2, delta_sign=-1)
+        spec = build_family(Family.C1_ODD_INTERIOR, 2, delta_sign=-1)
         assert spec.delta < 0
 
     def test_rejects_invalid_n(self):
         with pytest.raises(ValueError):
-            build_c1_interior(0)
+            build_family(Family.C1_ODD_INTERIOR, 0)
 
     def test_rejects_invalid_delta_sign(self):
-        # the hard-coded midpoint limit at n = 1 checks the sign too
+        # build_family checks the sign before the hard-coded midpoint limit
         for n in (1, 2):
-            with pytest.raises(ValueError, match="delta_sign must be"):
-                build_c1_interior(n, delta_sign=3)
+            with pytest.raises(ValueError,
+                               match=rf"C1_ODD_INTERIOR n={n}: delta_sign must be \+1 or -1"):
+                build_family(Family.C1_ODD_INTERIOR, n, delta_sign=3)
 
 
 class TestC1Even:
     def test_n2_exact_delta(self):
-        spec = build_c1_even(2)
+        spec = build_family(Family.C1_EVEN, 2)
         assert spec.delta == 12.0
         assert_delta_squares_to(spec, Fraction(144))
 
     def test_n2_first_interval(self):
-        spec = build_c1_even(2)
+        spec = build_family(Family.C1_EVEN, 2)
         iv = spec.intervals[0]
         # R = 9 C_1 - 15 C_0 = 45x - 15, root 1/3
         assert eval_combo(iv.r, 1 / 3)[0] == pytest.approx(0, abs=1e-13)
@@ -173,14 +171,14 @@ class TestC1Even:
         assert iv.extra_weight_factor is c1_even_factor
 
     def test_reflection_flag(self):
-        assert build_c1_even(3).second_interval_by_reflection
-        for build, n in ((build_c0_odd, 3), (build_c0_even, 3),
-                         (build_c1_endpoint, 3), (build_c1_interior, 3)):
-            assert not build(n).second_interval_by_reflection
+        assert build_family(Family.C1_EVEN, 3).second_interval_by_reflection
+        for family in (Family.C0_ODD, Family.C0_EVEN,
+                       Family.C1_ODD_ENDPOINT, Family.C1_ODD_INTERIOR):
+            assert not build_family(family, 3).second_interval_by_reflection
 
     def test_rejects_invalid_n(self):
         with pytest.raises(ValueError):
-            build_c1_even(1)
+            build_family(Family.C1_EVEN, 1)
 
 
 class TestFamilyInvariants:
@@ -191,7 +189,8 @@ class TestFamilyInvariants:
                 if iv.r.is_empty:
                     assert iv.expected_free_nodes == 0
                 else:
-                    assert iv.r.degree == iv.expected_free_nodes, (family, n)
+                    found = isolate_and_refine(iv.r, iv.expected_free_nodes)
+                    assert len(found.roots) == iv.expected_free_nodes, (family, n)
 
     def test_normalization_positive(self):
         for family, n in family_range(50):
@@ -212,10 +211,10 @@ class TestFamilyInvariants:
 
     def test_delta_radicand_exact_all_families(self):
         for n in range(2, 51):
-            assert_delta_squares_to(build_c1_interior(n), Fraction(
+            assert_delta_squares_to(build_family(Family.C1_ODD_INTERIOR, n), Fraction(
                 3 * (n * n + 3 * n - 1), n * (n + 3)))
             radicand = Fraction(3 * n * (n + 2) * (n * n + 2 * n - 2))
-            even = build_c1_even(n)
+            even = build_family(Family.C1_EVEN, n)
             assert_delta_squares_to(even, radicand)
             assert even.delta == pytest.approx(math.sqrt(float(radicand)), rel=1e-15)
 
@@ -253,6 +252,31 @@ class TestDeltaSign:
             build_rule(family, 3, delta_sign=delta_sign)
         with pytest.raises(ValueError, match=rf"{family.name} n=3: delta_sign"):
             build_family(family, 3, delta_sign=delta_sign)
+
+
+class TestBadInputs:
+    """An input no rule can be built from raises a ValueError that names
+    it, whichever entry point it is passed to."""
+
+    @pytest.mark.parametrize("family, n", [(Family.C0_EVEN, 3.0), (Family.C0_ODD, 2.5)])
+    def test_non_integer_n(self, family, n):
+        with pytest.raises(ValueError, match=rf"{family.name} n={n}: n must be an integer"):
+            build_rule(family, n)
+
+    def test_non_integer_degree(self):
+        with pytest.raises(ValueError, match=r"C0_ODD n=4\.0: n must be an integer"):
+            family_for(0, 7.0)
+
+    def test_family_given_by_name(self):
+        with pytest.raises(ValueError, match=r"'C0_ODD' n=3: not a Family"):
+            build_rule("C0_ODD", 3)
+
+    def test_numpy_integer_n(self):
+        assert build_rule(Family.C0_EVEN, np.int64(4)) == cached_rule(Family.C0_EVEN, 4)
+
+    def test_unknown_precision(self):
+        with pytest.raises(ValueError, match="unknown precision 'Extended'"):
+            build_rule(Family.C0_ODD, 3, precision="Extended")
 
 
 class TestSupportedRange:

@@ -196,7 +196,6 @@ class TestCombo:
         p = GegenbauerCombo.build(1.5, [])
         assert eval_combo(p, 0.37) == (0, 0)
         assert p.is_empty
-        assert p.degree == -1
 
     def test_c0_even_root_check(self):
         # C_1 + sqrt(3) C_0 = 3x + sqrt(3) vanishes at -1/sqrt(3)
@@ -222,8 +221,3 @@ class TestCombo:
         val, der = eval_combo(p, -0.3)
         assert val == pytest.approx(1.09)
         assert der == pytest.approx(-0.6)
-
-    def test_combo_degree(self):
-        assert GegenbauerCombo.build(1.5, [(4, 2), (2, -1)]).degree == 4
-        assert GegenbauerCombo.build(1.5, [(3, (0, 5, 0))]).degree == 4
-        assert GegenbauerCombo.build(2.5, [(2, (1, 0, 1))]).degree == 4

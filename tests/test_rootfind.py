@@ -6,7 +6,7 @@ import pytest
 from splinequad import assembly
 from splinequad.assembly import PolishFailed, arithmetic, polish
 from splinequad.doubledouble import DD
-from splinequad.families import build_c1_interior
+from splinequad.families import Family, build_family
 from splinequad.gegenbauer import GegenbauerCombo, eval_combo
 from splinequad.rootfind import (
     CountMismatch,
@@ -20,6 +20,7 @@ LINEAR = GegenbauerCombo.build(1.5, [(1, 1)])              # 3x
 QUADRATIC = GegenbauerCombo.build(1.5, [(2, 4), (0, -9)])  # 30x^2 - 15
 SHIFTED = GegenbauerCombo.build(1.5, [(1, 1), (0, math.sqrt(3))])  # 3x + sqrt(3)
 ORDER52_QUAD = GegenbauerCombo.build(2.5, [(2, 1)])        # 17.5 x^2 - 2.5
+AT_MINUS_ONE = GegenbauerCombo.build(1.5, [(1, 1), (0, 3)])  # 3x + 3
 
 
 def _polish(combo, roots, brackets, extended):
@@ -61,7 +62,7 @@ class TestRefineRoot:
 
 class TestIsolateAndRefine:
     def test_quadratic_both_roots(self):
-        rs = isolate_and_refine(QUADRATIC, -1, 1, expected_count=2)
+        rs = isolate_and_refine(QUADRATIC, expected_count=2)
         expected = 0.7071067811865476
         assert rs.roots[0] == pytest.approx(-expected, abs=1e-15)
         assert rs.roots[1] == pytest.approx(expected, abs=1e-15)
@@ -71,35 +72,34 @@ class TestIsolateAndRefine:
     def test_residual_bound(self):
         for combo, count in ((QUADRATIC, 2), (ORDER52_QUAD, 2),
                              (GegenbauerCombo.build(1.5, [(9, 1)]), 9)):
-            rs = isolate_and_refine(combo, -1, 1, expected_count=count)
+            rs = isolate_and_refine(combo, expected_count=count)
             for root in rs.roots:
                 res, der = eval_combo(combo, root)
                 assert abs(res) <= 1e-10 * max(1.0, abs(der))
 
     def test_high_degree_count(self):
         combo = GegenbauerCombo.build(1.5, [(50, 1)])
-        rs = isolate_and_refine(combo, -1, 1, expected_count=50)
+        rs = isolate_and_refine(combo, expected_count=50)
         assert len(rs.roots) == 50
 
     def test_count_mismatch_negative_delta(self):
-        spec = build_c1_interior(2, delta_sign=-1)
+        spec = build_family(Family.C1_ODD_INTERIOR, 2, delta_sign=-1)
         iv = spec.intervals[0]
         with pytest.raises(CountMismatch):
-            isolate_and_refine(iv.r, -1, 1, expected_count=iv.expected_free_nodes)
+            isolate_and_refine(iv.r, expected_count=iv.expected_free_nodes)
 
     def test_empty_combo_rejected(self):
         with pytest.raises(ValueError):
-            isolate_and_refine(GegenbauerCombo.build(1.5, []), -1, 1, 0)
+            isolate_and_refine(GegenbauerCombo.build(1.5, []), 0)
 
     def test_deterministic(self):
-        a = isolate_and_refine(QUADRATIC, -1, 1, 2)
-        b = isolate_and_refine(QUADRATIC, -1, 1, 2)
+        a = isolate_and_refine(QUADRATIC, 2)
+        b = isolate_and_refine(QUADRATIC, 2)
         assert a.roots == b.roots
 
     def test_extended_precision(self):
-        # the double roots, isolated on mpf bounds, polished at 50 digits
-        rs = isolate_and_refine(QUADRATIC, mpmath.mpf(-1), mpmath.mpf(1),
-                                expected_count=2)
+        # the double roots, polished at 50 digits
+        rs = isolate_and_refine(QUADRATIC, expected_count=2)
         with mpmath.workdps(50):
             arith = arithmetic(extended=True)
             roots = polish(QUADRATIC.map(arith.lift), rs, arith)
@@ -109,12 +109,12 @@ class TestIsolateAndRefine:
 
     @pytest.mark.parametrize("extended", [False, True])
     def test_exact_zero_on_the_grid(self, extended):
-        # the grid on [0, 1] starts at 0.0 exactly, where 3x vanishes;
+        # the grid starts at -1.0 exactly, where 3x + 3 vanishes;
         # the root gets a bracket and the polish leaves it exact
-        rs = isolate_and_refine(LINEAR, 0, 1, expected_count=1)
-        assert rs.roots == (0,)
-        assert rs.brackets[0][0] <= 0 < rs.brackets[0][1]
-        assert _polish(LINEAR, rs.roots, rs.brackets, extended) == [0]
+        rs = isolate_and_refine(AT_MINUS_ONE, expected_count=1)
+        assert rs.roots == (-1,)
+        assert rs.brackets[0][0] <= -1 < rs.brackets[0][1]
+        assert _polish(AT_MINUS_ONE, rs.roots, rs.brackets, extended) == [-1]
 
 
 class TestPolishRoot:

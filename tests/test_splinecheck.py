@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from splinequad import splinecheck
 from splinequad.catalog import build_rule, family_for
 from splinequad.families import Family
 from splinequad.splinecheck import (
@@ -120,10 +121,15 @@ class TestCheckExactness:
         assert report.degree == rule.degree
         assert 0 <= report.worst_basis_index
 
-    def test_more_copies_do_not_hurt(self):
+    def test_more_copies_do_not_hurt(self, monkeypatch):
         rule = cached_rule(Family.C1_ODD_INTERIOR, 4)
+        tested = []
         for copies in (4, 8):
-            assert check_exactness(rule, copies=copies).max_abs_error <= 1e-12
+            monkeypatch.setattr(splinecheck, "COPIES", copies)
+            report = check_exactness(rule)
+            assert report.max_abs_error <= 1e-12
+            tested.append(report.tested_basis_count)
+        assert 0 < tested[0] < tested[1]  # the tiling follows COPIES
 
 
 class TestGolden:
