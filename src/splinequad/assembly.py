@@ -7,12 +7,13 @@ from the closed-form denominators A / (R'(x) S(x) f(x)) with the
 interval's own factor function f, never from solving a linear system.
 The rule's degree is its family's ``degree(n)``.
 
-Both precisions run one free-node stage: the double roots are polished
-by Newton in a working arithmetic, R' and S are evaluated at the
-polished nodes, and each node and weight is rounded once at the end.
-The precision only picks the arithmetic (:func:`arithmetic`):
-double-double arrays for double, numpy object arrays of mpf at the
-working precision for extended.
+Both precisions run one free-node stage: one double-double Newton step
+polishes the double roots, R' and S are evaluated at the polished nodes
+from one recurrence, and each node and weight is rounded once at the
+end.  The precision only picks the working arithmetic
+(:func:`arithmetic`): double-double arrays for double; for extended,
+numpy object arrays of mpf with 5 guard digits, in which Newton
+continues from the double-double nodes before R' and S are evaluated.
 
 Two presentations are produced:
 
@@ -25,6 +26,7 @@ Two presentations are produced:
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -74,11 +76,13 @@ class ScaledRule:
         return len(self.intervals)
 
 
-POLISH_STEPS = 6  # cap on the Newton steps of the polish
+POLISH_STEPS = 6  # cap on the Newton steps of each polish
+_GUARD_DIGITS = 5  # extra digits of the extended polish, weights and division
+_K_BOUND = 1e5  # bound on K = |R''/2R'| at every root, n <= MAX_N (measured 6.9e3)
 
 
 def _mpf(value):
-    """An int, Fraction or mpf as an mpf at the working precision."""
+    """An int, Fraction or mpf as an mpf at the current precision."""
     if isinstance(value, Fraction):
         return mpmath.mpf(value.numerator) / value.denominator
     return mpmath.mpf(value)
@@ -88,24 +92,40 @@ def _mpf(value):
 class Arithmetic:
     """The number type one precision computes its free nodes in."""
 
-    real: Callable    # exact scalar -> output number (fixed nodes, delta)
-    lift: Callable    # exact combo coefficient -> working scalar
-    array: Callable   # double roots -> working array
-    output: Callable  # working array -> list of output numbers
-    tol: object       # the polish stops once no Newton step is larger
+    real: Callable     # exact scalar -> output number (fixed nodes, delta)
+    lift: Callable     # exact combo coefficient -> working scalar
+    output: Callable   # working array -> list of output numbers
+    tol: object        # the polish stops once no Newton step is larger
+    working: Callable  # -> context that sets the working precision
+    # double-double nodes -> working array for a further polish; None
+    # where the double-double nodes are already the working ones
+    nodes: Callable = None
+
+
+_DOUBLE = Arithmetic(
+    real=float, lift=DD.of, output=lambda v: v.rounded().tolist(),
+    tol=REFINE_TOL, working=contextlib.nullcontext)
 
 
 def arithmetic(extended: bool) -> Arithmetic:
     """Double-double arrays rounded to double, or numpy object arrays of
-    mpf at the working precision (``extended``)."""
+    mpf computed with guard digits and rounded to the precision current
+    at this call (``extended``)."""
     if not extended:
-        return Arithmetic(
-            real=float, lift=DD.of, array=lambda roots: DD(np.array(roots)),
-            output=lambda v: v.rounded().tolist(), tol=REFINE_TOL)
+        return _DOUBLE
+    dps = mpmath.mp.dps + _GUARD_DIGITS
+    # Newton's next error is K step^2: with K <= _K_BOUND, this step
+    # bound leaves it below 10^-dps
     return Arithmetic(
         real=_mpf, lift=lambda c: c,
-        array=lambda roots: np.array([mpmath.mpf(x) for x in roots], dtype=object),
-        output=list, tol=mpmath.mpf(10) ** (5 - mpmath.mp.dps))
+        # rounds to the precision current where it is called
+        output=lambda v: [mpmath.mpf(x) for x in v],
+        tol=mpmath.mpf(10) ** (-(dps // 2) - 3),
+        working=lambda: mpmath.workdps(dps),
+        # hi + lo is exact at the working precision
+        nodes=lambda x: np.array(
+            [mpmath.mpf(h) + lo for h, lo in zip(*np.broadcast_arrays(x.hi, x.lo))],
+            dtype=object))
 
 
 def _raise_at(bad, xs, error, what):
@@ -113,13 +133,14 @@ def _raise_at(bad, xs, error, what):
         raise error(f"{what} at x={xs[np.argmax(bad)]}")
 
 
-def polish(r: GegenbauerCombo, found: RootSet, arith: Arithmetic):
-    """Newton on r (coefficients in ``arith``) from the double roots, all
-    at once, until no step is larger than ``arith.tol``: one step in
-    double-double, two or three in mpf.  R' = 0, an iterate outside its
-    root's double bracket, or running out of steps raises
-    :class:`PolishFailed`."""
-    x = arith.array(found.roots)
+def polish(r: GegenbauerCombo, x, found: RootSet, arith: Arithmetic):
+    """Newton on r from the nodes x, both in ``arith``, all at once, until
+    no step is larger than ``arith.tol``.  From the double roots, one
+    double-double step settles them.  From the double-double nodes, the
+    mpf steps (at 55 digits for a 50-digit rule) stop once no step exceeds
+    10^(-dps//2 - 3): one step at n <= 24, two at n = 200.  R' = 0, an
+    iterate outside the bracket of its root in ``found``, or running out
+    of steps raises :class:`PolishFailed`."""
     lo, hi = np.array(found.brackets, dtype=float).T
     unsettled = np.ones(len(found.roots), dtype=bool)
     for _ in range(POLISH_STEPS):
@@ -139,33 +160,39 @@ def polish(r: GegenbauerCombo, found: RootSet, arith: Arithmetic):
 def _free(iv, arith: Arithmetic) -> tuple:
     """Free nodes and weights of one interval.
 
-    The roots are isolated and refined in double, then polished in the
-    working arithmetic.  The weight A / (R'(x) S(x) f(x)) is so sensitive
-    to x near +-1 that even the double root (within about an ulp, 1.3e-16
-    at most for n <= 200) changes it by up to 1.3e-9 relative at n = 80
-    and 1.9e-7 at n = 200, and S cancels there too.  So R' and S are
-    evaluated at the polished nodes in the working arithmetic as well,
-    and each node and weight is rounded once, at the end.
+    The roots are isolated and refined in double, then polished by one
+    double-double Newton step; for extended, mpf Newton steps continue
+    from there with guard digits.  The weight A / (R'(x) S(x) f(x)) is so
+    sensitive to x near +-1 that even the double root (within about an
+    ulp, 1.3e-16 at most for n <= 200) changes it by up to 1.3e-9
+    relative at n = 80 and 1.9e-7 at n = 200, and S cancels there too.  So
+    R' and S are evaluated at the polished nodes in the working arithmetic
+    as well, both from one recurrence, and each node and weight is
+    rounded once, at the end.
     """
-    r = iv.r.map(arith.lift)
-    x = polish(r, isolate_and_refine(iv.r, iv.expected_free_nodes), arith)
-    _, rder = eval_combo(r, x)
-    sval, _ = eval_combo(iv.s.map(arith.lift), x)
-    denom = rder * sval * iv.extra_weight_factor(x)
-    size = np.abs(np.array(arith.output(denom)))
-    _raise_at(~((size > 1e-300) & (size < np.inf)), arith.output(x),
-              DegenerateWeight, "denominator ~ 0")
-    # A is exact (int or Fraction): its numerator enters unrounded
-    weights = arith.lift(iv.a.numerator) / (iv.a.denominator * denom)
+    found = isolate_and_refine(iv.r, iv.expected_free_nodes)
+    r = iv.r.map(DD.of)
+    x = polish(r, DD(np.array(found.roots)), found, _DOUBLE)
+    with arith.working():
+        if arith.nodes is not None:
+            r = iv.r.map(arith.lift)
+            x = polish(r, arith.nodes(x), found, arith)
+        (_, rder), (sval, _) = eval_combo((r, iv.s.map(arith.lift)), x)
+        denom = rder * sval * iv.extra_weight_factor(x)
+        size = np.abs(np.array(arith.output(denom)))
+        _raise_at(~((size > 1e-300) & (size < np.inf)), arith.output(x),
+                  DegenerateWeight, "denominator ~ 0")
+        # A is exact (int or Fraction): its numerator enters unrounded
+        weights = arith.lift(iv.a.numerator) / (iv.a.denominator * denom)
     return arith.output(x), arith.output(weights)
 
 
 def assemble(spec: FamilySpec, extended: bool = False) -> ReferenceRule:
     """Compute nodes and weights for every interval of the spec's period.
 
-    Nodes and weights are floats, or mpf values at the working precision
-    when ``extended`` is set; that choice of :func:`arithmetic` is the
-    only difference between the two.  Fixed endpoint nodes keep their
+    Nodes and weights are floats, or mpf values rounded to the current
+    precision when ``extended`` is set; that choice of :func:`arithmetic`
+    is the only difference between the two.  Fixed endpoint nodes keep their
     closed-form weights and are listed first (they sit at the interval's
     left end).  For the reflected second interval of the C1 even family,
     the first interval's free nodes are negated and re-sorted with their

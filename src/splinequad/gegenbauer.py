@@ -8,10 +8,13 @@ recurrence, which is stable for the degrees and arguments used here
 
 :func:`eval_combo` is the one evaluator: a single Gegenbauer polynomial
 C_n^(alpha) is the one-term combo ``GegenbauerCombo.build(alpha, [(n, 1)])``.
-It is written generically: x may be a float, an mpmath mpf, a numpy
-array of floats (the root scan) or of mpf (the extended-precision
-polish), or a double-double array (:class:`splinequad.doubledouble.DD`,
-the double-precision polish), and the same code path serves all of them.
+Given several combos of one alpha, it evaluates them all from one run of
+the recurrence; the weights take R' and S from one such pass.  It is
+written generically: x may be a float, an mpmath mpf, a numpy array of
+floats (the root scan) or of mpf (the extended-precision polish), or a
+double-double array (:class:`splinequad.doubledouble.DD`, the Newton
+step every precision starts its polish with), and the same code path
+serves all of them.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ class GegenbauerCombo:
         return not self.terms
 
 
-def eval_combo(p: GegenbauerCombo, x):
+def eval_combo(p, x):
     """Evaluate a combo and its derivative in one pass.
 
     One run of the three-term recurrence, differentiated term by term,
@@ -72,17 +75,28 @@ def eval_combo(p: GegenbauerCombo, x):
     starting from C_{-1} = 0, C_0 = 1.  Returns (value, derivative); the
     derivative applies the product rule to the coefficient polynomials.
     The empty combo gives (0, 0).
+
+    ``p`` may also be a tuple of combos of one alpha (else ValueError):
+    the one recurrence then serves them all, and the result is a tuple
+    with one (value, derivative) pair per combo, each bit-equal to what
+    a call with that combo alone returns.
     """
+    combos = (p,) if isinstance(p, GegenbauerCombo) else tuple(p)
+    alphas = {q.alpha for q in combos}
+    if len(alphas) != 1:
+        raise ValueError(f"combos of one alpha needed, got alphas {sorted(alphas)}")
     wanted = {}
-    for d, coeff in p.terms:
-        wanted.setdefault(d, []).append(coeff)
+    for i, q in enumerate(combos):
+        for d, coeff in q.terms:
+            wanted.setdefault(d, []).append((i, coeff))
     # 2 alpha is 3 or 5 in every family: int constants spare mpf and
     # double-double products a float conversion and change no result
-    two_alpha = 2 * p.alpha
+    two_alpha = 2 * alphas.pop()
     if float(two_alpha).is_integer():
         two_alpha = int(two_alpha)
-    val = der = c_prev = dc = dc_prev = 0 * x
-    c = 1 + val
+    c_prev = dc = dc_prev = 0 * x
+    c = 1 + c_prev
+    val, der = [c_prev] * len(combos), [c_prev] * len(combos)
     for k in range(max(wanted, default=-1) + 1):
         if k:
             a, b = 2 * k + two_alpha - 2, k + two_alpha - 2
@@ -90,8 +104,9 @@ def eval_combo(p: GegenbauerCombo, x):
                 (a * x * c - b * c_prev) / k, c,
                 (a * (c + x * dc) - b * dc_prev) / k, dc,
             )
-        for c0, c1, c2 in wanted.get(k, ()):
+        for i, (c0, c1, c2) in wanted.get(k, ()):
             coeff = c0 + (c1 + c2 * x) * x
-            val = val + coeff * c
-            der = der + (c1 + 2 * c2 * x) * c + coeff * dc
-    return val, der
+            val[i] = val[i] + coeff * c
+            der[i] = der[i] + (c1 + 2 * c2 * x) * c + coeff * dc
+    pairs = tuple(zip(val, der))
+    return pairs[0] if isinstance(p, GegenbauerCombo) else pairs

@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from scipy.special import roots_gegenbauer
 
@@ -9,19 +11,24 @@ from splinequad import assembly
 from splinequad.assembly import (
     DegenerateWeight,
     PolishFailed,
+    arithmetic,
     assemble,
+    polish,
     replicate_periodically,
     scale_to_unit_intervals,
 )
 from splinequad.catalog import build_rule
+from splinequad.doubledouble import DD
 from splinequad.families import (
     EXTENDED_DPS,
+    MAX_N,
     Family,
     FamilySpec,
     IntervalSpec,
     build_family,
 )
 from splinequad.gegenbauer import GegenbauerCombo, eval_combo
+from splinequad.rootfind import isolate_and_refine
 
 from conftest import cached_rule, family_range
 
@@ -209,14 +216,85 @@ class TestExtendedPrecision:
     def test_accuracy_against_90_digits(self, family):
         # the measured accuracy of the 50-digit rule: the same spec
         # assembled at 90 digits is the reference
-        spec = build_family(family, 24)
-        with mpmath.workdps(EXTENDED_DPS):
-            rule = assemble(spec, extended=True)
+        for n in (24, 50):
+            spec = build_family(family, n)
+            with mpmath.workdps(EXTENDED_DPS):
+                rule = assemble(spec, extended=True)
+                # computed with guard digits, each value rounded to 50
+                prec = mpmath.mp.prec
+            for iv in rule.intervals:
+                assert all(v._mpf_[3] <= prec for v in iv.nodes + iv.weights)
+            with mpmath.workdps(90):
+                reference = assemble(spec, extended=True)
+                for iv, ref in zip(rule.intervals, reference.intervals):
+                    assert len(iv.nodes) == len(ref.nodes)
+                    for x, y in zip(iv.nodes, ref.nodes):
+                        assert abs(x - y) <= 1e-50, (n, x, y)
+                    for w, v in zip(iv.weights, ref.weights):
+                        assert abs(w - v) <= 1e-45 * abs(v), (n, w, v)
+
+    def test_mpf_polish_from_a_far_seed(self, monkeypatch):
+        # seeded 1e-20 off the roots instead of at the double-double
+        # nodes, the mpf polish takes more steps and still lands within 1e-50
+        spec = build_family(Family.C0_EVEN, 24)
+        iv, = spec.intervals
+        found = isolate_and_refine(iv.r, iv.expected_free_nodes)
         with mpmath.workdps(90):
-            reference = assemble(spec, extended=True)
-            for iv, ref in zip(rule.intervals, reference.intervals):
-                assert len(iv.nodes) == len(ref.nodes)
-                for x, y in zip(iv.nodes, ref.nodes):
-                    assert abs(x - y) <= 1e-50, (x, y)
-                for w, v in zip(iv.weights, ref.weights):
-                    assert abs(w - v) <= 1e-45 * abs(v), (w, v)
+            roots = assemble(spec, extended=True).intervals[0].nodes
+        steps = []
+
+        def counting(p, x):
+            steps.append(x)
+            return eval_combo(p, x)
+
+        monkeypatch.setattr(assembly, "eval_combo", counting)
+        with mpmath.workdps(EXTENDED_DPS):
+            arith = arithmetic(extended=True)
+            with arith.working():
+                dd = polish(iv.r.map(DD.of), DD(np.array(found.roots)), found,
+                            arithmetic(extended=False))
+                steps.clear()
+                polish(iv.r, arith.nodes(dd), found, arith)
+                near_steps = len(steps)
+                seed = np.array([y + mpmath.mpf(10) ** -20 for y in roots], dtype=object)
+                steps.clear()
+                x = polish(iv.r, seed, found, arith)
+                assert len(steps) > near_steps == 1
+                assert max(abs(a - b) for a, b in zip(x, roots)) <= 1e-50
+                monkeypatch.setattr(assembly, "POLISH_STEPS", 1)
+                with pytest.raises(PolishFailed, match="no convergence in 1 Newton"):
+                    polish(iv.r, seed, found, arith)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_newton_curvature_bound(self, family):
+        # the mpf polish stops once no step exceeds 10^(-dps//2 - 3); the
+        # next error K step^2 is then below 10^-dps while K = |R''/2R'|
+        # stays within assembly._K_BOUND at every root.  R'' by a central
+        # difference of R', in double
+        h = 1e-7
+        for iv in build_family(family, MAX_N).intervals:
+            r = iv.r.map(float)
+            x = np.array(isolate_and_refine(iv.r, iv.expected_free_nodes).roots)
+            d2 = (eval_combo(r, x + h)[1] - eval_combo(r, x - h)[1]) / (2 * h)
+            k = np.abs(d2 / (2 * eval_combo(r, x)[1]))
+            assert k.max() <= assembly._K_BOUND, (family, k.max())
+
+
+class TestDoubleRegression:
+    # SHA-256 of repr(rule.intervals) for n = min_n..50, concatenated per
+    # family.  A change that moves any double output by one bit fails
+    # here; update the digests only for a change meant to move outputs
+    DIGESTS = {
+        Family.C0_ODD: "7d78e267e871975a166c2dd331b2afc383af69b2e1d725bb1262443f4de8273b",
+        Family.C0_EVEN: "cc8b9d2e353a477521ef8066f4a479da024bca7fc0a2eab320e969df1d925b18",
+        Family.C1_ODD_ENDPOINT: "057b5d5cfe8940600518fba5adc89f1043c7f103901fc79b69f6caeb120c95eb",
+        Family.C1_ODD_INTERIOR: "37fa504576708928204d0edb9ee0cef2e2af4fe883090cf5c574216399e6197b",
+        Family.C1_EVEN: "413d18040982124c77afd23929be1ce9d3db961c518482a3c802fd5798b07a16",
+    }
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_double_rules_bit_identical(self, family):
+        digest = hashlib.sha256()
+        for n in range(family.min_n, 51):
+            digest.update(repr(cached_rule(family, n).intervals).encode())
+        assert digest.hexdigest() == self.DIGESTS[family]

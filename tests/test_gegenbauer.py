@@ -181,6 +181,41 @@ class TestSinglePassCombo:
                         assert eval_combo(combo, x) == reference(combo, x)
 
 
+class TestFusedCombos:
+    """Several combos of one alpha from one recurrence, as assembly
+    evaluates R' and S."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_bit_equal_to_separate_calls(self, family):
+        xs = np.linspace(-1, 1, 9)
+        for iv in build_family(family, 40).intervals:
+            combos = (iv.r, iv.s)
+            pf = tuple(q.map(float) for q in combos)
+            for x in (-0.77, 0.31):
+                assert eval_combo(pf, x) == tuple(eval_combo(q, x) for q in pf)
+            for (val, der), q in zip(eval_combo(pf, xs), pf):
+                ref_val, ref_der = eval_combo(q, xs)
+                assert np.array_equal(val, ref_val) and np.array_equal(der, ref_der)
+            pd = tuple(q.map(DD.of) for q in combos)
+            for pair, q in zip(eval_combo(pd, DD(xs)), pd):
+                for g, r in zip(pair, eval_combo(q, DD(xs))):
+                    assert np.array_equal(g.hi, r.hi) and np.array_equal(g.lo, r.lo)
+            with mpmath.workdps(EXTENDED_DPS):
+                for x in ("-0.31", "0.87"):
+                    x = mpmath.mpf(x)
+                    assert eval_combo(combos, x) == tuple(eval_combo(q, x) for q in combos)
+
+    def test_one_combo_in_a_tuple(self):
+        p = GegenbauerCombo.build(1.5, [(3, 2), (1, (0, 1, 0))])
+        assert eval_combo((p,), 0.4) == (eval_combo(p, 0.4),)
+
+    def test_mixed_alphas_rejected(self):
+        c0 = GegenbauerCombo.build(1.5, [(2, 1)])
+        c1 = GegenbauerCombo.build(2.5, [(2, 1)])
+        with pytest.raises(ValueError, match="one alpha"):
+            eval_combo((c0, c1), 0.3)
+
+
 class TestCombo:
     def test_c0_odd_first_interval_n2(self):
         # 4*C_2 - 9*C_0 at order 3/2 expands to 30 x^2 - 15

@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from splinequad import assembly
@@ -24,11 +25,15 @@ AT_MINUS_ONE = GegenbauerCombo.build(1.5, [(1, 1), (0, 3)])  # 3x + 3
 
 
 def _polish(combo, roots, brackets, extended):
-    """The polish stage of assembly on given double roots, at 50 digits,
-    as mpf values (a double-double x.hi + x.lo is exact as an mpf)."""
+    """The polish of assembly in one arithmetic, from given double roots,
+    at 50 digits, as mpf values (a double-double x.hi + x.lo is exact as
+    an mpf)."""
     with mpmath.workdps(50):
         arith = arithmetic(extended)
-        x = polish(combo.map(arith.lift), RootSet(tuple(roots), tuple(brackets)), arith)
+        x = DD(np.array(roots, dtype=float))
+        if extended:
+            x = arith.nodes(x)
+        x = polish(combo.map(arith.lift), x, RootSet(tuple(roots), tuple(brackets)), arith)
         if isinstance(x, DD):
             return [mpmath.mpf(h) + lo for h, lo in zip(x.hi, x.lo)]
         return list(x)
@@ -102,7 +107,8 @@ class TestIsolateAndRefine:
         rs = isolate_and_refine(QUADRATIC, expected_count=2)
         with mpmath.workdps(50):
             arith = arithmetic(extended=True)
-            roots = polish(QUADRATIC.map(arith.lift), rs, arith)
+            x = arith.nodes(DD(np.array(rs.roots)))
+            roots = polish(QUADRATIC.map(arith.lift), x, rs, arith)
             target = 1 / mpmath.sqrt(2)
             assert abs(roots[1] - target) < mpmath.mpf(10) ** -45
             assert isinstance(roots[1], mpmath.mpf)
