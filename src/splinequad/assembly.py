@@ -7,13 +7,14 @@ from the closed-form denominators A / (R'(x) S(x) f(x)) with the
 interval's own factor function f, never from solving a linear system.
 The rule's degree is its family's ``degree(n)``.
 
-Both precisions run one free-node stage: one double-double Newton step
-polishes the double roots, R' and S are evaluated at the polished nodes
-from one recurrence, and each node and weight is rounded once at the
-end.  The precision only picks the working arithmetic
-(:func:`arithmetic`): double-double arrays for double; for extended,
-numpy object arrays of mpf with 5 guard digits, in which Newton
-continues from the double-double nodes before R' and S are evaluated.
+Both precisions run one free-node stage (:func:`_free`): one
+double-double Newton step polishes the double roots, R' and S are
+evaluated at the polished nodes from one recurrence, and each node and
+weight is rounded once at the end.  Extended rules differ in one step:
+the double-double nodes are lifted into numpy object arrays of mpf with
+5 guard digits, and Newton continues there before R' and S are
+evaluated.  :func:`polish` and the rounding read the number type from
+the arrays they are given.
 
 Two presentations are produced:
 
@@ -29,7 +30,6 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import mpmath
 import numpy as np
@@ -78,7 +78,7 @@ class ScaledRule:
 
 POLISH_STEPS = 6  # cap on the Newton steps of each polish
 _GUARD_DIGITS = 5  # extra digits of the extended polish, weights and division
-_K_BOUND = 1e5  # bound on K = |R''/2R'| at every root, n <= MAX_N (measured 6.9e3)
+_K_BOUND = 1e5  # the bound on |R''/2R'| that the mpf polish tolerance assumes
 
 
 def _mpf(value):
@@ -88,44 +88,16 @@ def _mpf(value):
     return mpmath.mpf(value)
 
 
-@dataclass(frozen=True)
-class Arithmetic:
-    """The number type one precision computes its free nodes in."""
-
-    real: Callable     # exact scalar -> output number (fixed nodes, delta)
-    lift: Callable     # exact combo coefficient -> working scalar
-    output: Callable   # working array -> list of output numbers
-    tol: object        # the polish stops once no Newton step is larger
-    working: Callable  # -> context that sets the working precision
-    # double-double nodes -> working array for a further polish; None
-    # where the double-double nodes are already the working ones
-    nodes: Callable = None
+def _plain(v):
+    """A double-double array as its rounded doubles, an mpf object array
+    as it is: the values :func:`polish` and the weight guard compare."""
+    return v.rounded() if isinstance(v, DD) else v
 
 
-_DOUBLE = Arithmetic(
-    real=float, lift=DD.of, output=lambda v: v.rounded().tolist(),
-    tol=REFINE_TOL, working=contextlib.nullcontext)
-
-
-def arithmetic(extended: bool) -> Arithmetic:
-    """Double-double arrays rounded to double, or numpy object arrays of
-    mpf computed with guard digits and rounded to the precision current
-    at this call (``extended``)."""
-    if not extended:
-        return _DOUBLE
-    dps = mpmath.mp.dps + _GUARD_DIGITS
-    # Newton's next error is K step^2: with K <= _K_BOUND, this step
-    # bound leaves it below 10^-dps
-    return Arithmetic(
-        real=_mpf, lift=lambda c: c,
-        # rounds to the precision current where it is called
-        output=lambda v: [mpmath.mpf(x) for x in v],
-        tol=mpmath.mpf(10) ** (-(dps // 2) - 3),
-        working=lambda: mpmath.workdps(dps),
-        # hi + lo is exact at the working precision
-        nodes=lambda x: np.array(
-            [mpmath.mpf(h) + lo for h, lo in zip(*np.broadcast_arrays(x.hi, x.lo))],
-            dtype=object))
+def _rounded(v) -> list:
+    """A double-double array rounded to floats, or mpf values rounded to
+    the precision current at this call: the one rounding of an output."""
+    return v.rounded().tolist() if isinstance(v, DD) else [mpmath.mpf(y) for y in v]
 
 
 def _raise_at(bad, xs, error, what):
@@ -133,81 +105,91 @@ def _raise_at(bad, xs, error, what):
         raise error(f"{what} at x={xs[np.argmax(bad)]}")
 
 
-def polish(r: GegenbauerCombo, x, found: RootSet, arith: Arithmetic):
-    """Newton on r from the nodes x, both in ``arith``, all at once, until
-    no step is larger than ``arith.tol``.  From the double roots, one
-    double-double step settles them.  From the double-double nodes, the
-    mpf steps (at 55 digits for a 50-digit rule) stop once no step exceeds
-    10^(-dps//2 - 3): one step at n <= 24, two at n = 200.  R' = 0, an
-    iterate outside the bracket of its root in ``found``, or running out
-    of steps raises :class:`PolishFailed`."""
+def polish(r: GegenbauerCombo, x, found: RootSet, tol):
+    """Newton on r from the nodes x, all at once, until no step is larger
+    than ``tol``.  r and x are both double-double or both mpf.  From the
+    double roots, one double-double step settles them.  From the
+    double-double nodes, the mpf steps (at 55 digits for a 50-digit rule)
+    stop once no step exceeds 10^(-dps//2 - 3): one step at n <= 24, two
+    at n = 200.  R' = 0, an iterate outside the bracket of its root in
+    ``found``, or running out of steps raises :class:`PolishFailed`."""
     lo, hi = np.array(found.brackets, dtype=float).T
     unsettled = np.ones(len(found.roots), dtype=bool)
     for _ in range(POLISH_STEPS):
         f, df = eval_combo(r, x)
-        _raise_at(np.array(arith.output(df)) == 0, arith.output(x), PolishFailed, "R' = 0")
+        _raise_at(_plain(df) == 0, _plain(x), PolishFailed, "R' = 0")
         step = f / df
         x = x - step
-        xs = np.array(arith.output(x))
+        xs = _plain(x)
         _raise_at((xs < lo) | (xs > hi), xs, PolishFailed, "Newton left the bracket")
-        unsettled = np.abs(np.array(arith.output(step))) > arith.tol
+        unsettled = np.abs(_plain(step)) > tol
         if not unsettled.any():
             return x
     raise PolishFailed(f"no convergence in {POLISH_STEPS} Newton steps "
-                       f"at x={arith.output(x)[np.argmax(unsettled)]}")
+                       f"at x={_plain(x)[np.argmax(unsettled)]}")
 
 
-def _free(iv, arith: Arithmetic) -> tuple:
+def _free(iv, extended: bool) -> tuple:
     """Free nodes and weights of one interval.
 
     The roots are isolated and refined in double, then polished by one
-    double-double Newton step; for extended, mpf Newton steps continue
-    from there with guard digits.  The weight A / (R'(x) S(x) f(x)) is so
-    sensitive to x near +-1 that even the double root (within about an
+    double-double Newton step.  For extended, the nodes are lifted into
+    mpf and Newton continues there with guard digits; this is the stage's
+    one precision branch.  The weight A / (R'(x) S(x) f(x)) is
+    so sensitive to x near +-1 that even the double root (within about an
     ulp, 1.3e-16 at most for n <= 200) changes it by up to 1.3e-9
     relative at n = 80 and 1.9e-7 at n = 200, and S cancels there too.  So
-    R' and S are evaluated at the polished nodes in the working arithmetic
-    as well, both from one recurrence, and each node and weight is
-    rounded once, at the end.
+    R' and S are evaluated at the polished nodes in the same arithmetic,
+    both from one recurrence, and each node and weight is rounded once,
+    at the end.
     """
     found = isolate_and_refine(iv.r, iv.expected_free_nodes)
-    r = iv.r.map(DD.of)
-    x = polish(r, DD(np.array(found.roots)), found, _DOUBLE)
-    with arith.working():
-        if arith.nodes is not None:
-            r = iv.r.map(arith.lift)
-            x = polish(r, arith.nodes(x), found, arith)
-        (_, rder), (sval, _) = eval_combo((r, iv.s.map(arith.lift)), x)
+    r, s, a = iv.r.map(DD.of), iv.s.map(DD.of), DD.of(iv.a.numerator)
+    x = polish(r, DD(np.array(found.roots)), found, REFINE_TOL)
+    with contextlib.ExitStack() as working:
+        if extended:
+            dps = mpmath.mp.dps + _GUARD_DIGITS
+            working.enter_context(mpmath.workdps(dps))
+            r, s, a = iv.r, iv.s, iv.a.numerator
+            # hi + lo is exact at the working precision
+            x = np.array([mpmath.mpf(h) + lo
+                          for h, lo in zip(*np.broadcast_arrays(x.hi, x.lo))], dtype=object)
+            # Newton's next error is K step^2, and K = |R''/2R'| <= _K_BOUND
+            # at every root for n <= MAX_N (measured 6.9e3): this step
+            # bound leaves it below 10^-dps
+            x = polish(r, x, found, mpmath.mpf(10) ** (-(dps // 2) - 3))
+        (_, rder), (sval, _) = eval_combo((r, s), x)
         denom = rder * sval * iv.extra_weight_factor(x)
-        size = np.abs(np.array(arith.output(denom)))
-        _raise_at(~((size > 1e-300) & (size < np.inf)), arith.output(x),
+        size = np.abs(_plain(denom))
+        _raise_at(~((size > 1e-300) & (size < np.inf)), _plain(x),
                   DegenerateWeight, "denominator ~ 0")
         # A is exact (int or Fraction): its numerator enters unrounded
-        weights = arith.lift(iv.a.numerator) / (iv.a.denominator * denom)
-    return arith.output(x), arith.output(weights)
+        weights = a / (iv.a.denominator * denom)
+    return _rounded(x), _rounded(weights)
 
 
 def assemble(spec: FamilySpec, extended: bool = False) -> ReferenceRule:
     """Compute nodes and weights for every interval of the spec's period.
 
     Nodes and weights are floats, or mpf values rounded to the current
-    precision when ``extended`` is set; that choice of :func:`arithmetic`
-    is the only difference between the two.  Fixed endpoint nodes keep their
+    precision when ``extended`` is set; :func:`_free` takes the free nodes
+    to that precision, and the fixed nodes and delta are converted to its
+    number type here.  Fixed endpoint nodes keep their
     closed-form weights and are listed first (they sit at the interval's
     left end).  For the reflected second interval of the C1 even family,
     the first interval's free nodes are negated and re-sorted with their
     weights carried along.
     """
-    arith = arithmetic(extended)
+    real = _mpf if extended else float
     intervals = []
     for iv in spec.intervals:
         nodes, weights = [], []
         if iv.fixed_node is not None:
-            nodes.append(arith.real(iv.fixed_node[0]))
-            weights.append(arith.real(iv.fixed_node[1]))
+            nodes.append(real(iv.fixed_node[0]))
+            weights.append(real(iv.fixed_node[1]))
         if iv.expected_free_nodes > 0:
             try:
-                free_nodes, free_weights = _free(iv, arith)
+                free_nodes, free_weights = _free(iv, extended)
             except (CountMismatch, DegenerateWeight, PolishFailed) as exc:
                 raise type(exc)(f"{spec.id.name} n={spec.n}: {exc}") from exc
             nodes += free_nodes
@@ -221,7 +203,7 @@ def assemble(spec: FamilySpec, extended: bool = False) -> ReferenceRule:
             tuple(x for x, _ in pairs), tuple(w for _, w in pairs)))
     return ReferenceRule(
         family=spec.id, n=spec.n, degree=spec.id.degree(spec.n),
-        intervals=tuple(intervals), delta=arith.real(spec.delta),
+        intervals=tuple(intervals), delta=real(spec.delta),
     )
 
 

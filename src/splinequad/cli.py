@@ -90,27 +90,17 @@ _FORMATTERS = {"json": rule_to_json, "csv": rule_to_csv, "maple": rule_to_maple}
 
 
 def cmd_generate(args) -> int:
-    try:
-        family, n = family_for(0 if args.cls == "c0" else 1, args.degree, args.variant)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    family, n = family_for(0 if args.cls == "c0" else 1, args.degree, args.variant)
     if args.delta_sign != "+" and family is not Family.C0_EVEN:
-        print("error: --delta-sign applies only to C0 even degrees",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--delta-sign applies only to C0 even degrees")
     sign = +1 if args.delta_sign == "+" else -1
     rule = build_rule(family, n, delta_sign=sign, precision=args.precision)
     text = _FORMATTERS[args.format](rule)
     if args.output in (None, "-"):
         sys.stdout.write(text)
     else:
-        try:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-            return EXIT_FAIL
+        with open(args.output, "w") as fh:
+            fh.write(text)
     return EXIT_OK
 
 
@@ -151,8 +141,7 @@ def cmd_verify(args) -> int:
     # below the largest family minimum, a family would have no rule to check
     lowest = max(family.min_n for family in Family)
     if not lowest <= args.max_n <= MAX_N:
-        print(f"error: --max-n must lie in {lowest}..{MAX_N}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--max-n must lie in {lowest}..{MAX_N}")
     ok = True
     if args.scope in ("golden", "all"):
         ok &= _verify_golden(args.golden_tol)
@@ -216,44 +205,33 @@ def _svg_stem_chart(series, title: str) -> str:
 def cmd_plot(args) -> int:
     csv_path = os.path.splitext(args.output)[0] + ".csv"
     if csv_path == args.output:
-        print(f"error: the SVG path {args.output} would be overwritten by the CSV",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"the SVG path {args.output} would be overwritten by the CSV")
     smoothness = 0 if args.cls == "c0" else 1
-    overlay = args.variant == "both"
-    try:
-        if overlay:
-            if smoothness == 0 or args.degree % 2 == 0:
-                raise ValueError("variant=both requires C1 and odd degree")
-            selections = [("endpoint", "black"), ("interior", "red")]
-        else:
-            selections = [(args.variant, "black")]
-        series = []
-        for variant, color in selections:
-            family, n = family_for(smoothness, args.degree, variant)
-            rule = build_rule(family, n)
-            pairs = [
-                (x, w) for iv in rule.intervals
-                for x, w in zip(iv.nodes, iv.weights)
-            ]
-            series.append((variant or "", color, pairs))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.variant == "both":
+        if smoothness == 0 or args.degree % 2 == 0:
+            raise ValueError("variant=both requires C1 and odd degree")
+        selections = [("endpoint", "black"), ("interior", "red")]
+    else:
+        selections = [(args.variant, "black")]
+    series = []
+    for variant, color in selections:
+        family, n = family_for(smoothness, args.degree, variant)
+        rule = build_rule(family, n)
+        pairs = [
+            (x, w) for iv in rule.intervals
+            for x, w in zip(iv.nodes, iv.weights)
+        ]
+        series.append((variant or "", color, pairs))
     title = f"weights, class {args.cls.upper()}, degree {args.degree}"
     svg = _svg_stem_chart(series, title)
-    try:
-        with open(args.output, "w") as fh:
-            fh.write(svg)
-        with open(csv_path, "w") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["series", "index", "node", "weight"])
-            for label, _, pairs in series:
-                for i, (x, w) in enumerate(pairs):
-                    writer.writerow([label, i, format_sig25(x), format_sig25(w)])
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    with open(args.output, "w") as fh:
+        fh.write(svg)
+    with open(csv_path, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["series", "index", "node", "weight"])
+        for label, _, pairs in series:
+            for i, (x, w) in enumerate(pairs):
+                writer.writerow([label, i, format_sig25(x), format_sig25(w)])
     return EXIT_OK
 
 
@@ -298,8 +276,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Its invalid arguments raise ValueError, which
+    exits 2; a file that cannot be written raises OSError, which exits 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

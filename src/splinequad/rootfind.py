@@ -12,6 +12,9 @@ missing brackets there at high degree.
 Isolation and refinement run in double only, in both precisions: the
 double roots and their brackets are the input of the one polish stage in
 :mod:`splinequad.assembly`, which takes them to the working arithmetic.
+The scan evaluates the combo once on the whole grid; refinement starts
+from the values it found at each bracket's ends and evaluates only
+inside the bracket.
 
 A companion-matrix eigenvalue path was deliberately not used: the combos
 are cheap to evaluate through the recurrence and the root counts are
@@ -56,31 +59,35 @@ def _chebyshev_grid(m: int) -> list:
 
 
 def _scan(p: GegenbauerCombo, grid) -> list:
-    """Sign-change brackets of p on the grid, ascending.  A grid point
-    where p is exactly 0 gets the bracket of its two neighbours."""
+    """Sign-change brackets of p on the grid, ascending, each as a pair
+    ``(bracket, ends)`` with p's values at the bracket's two ends.  A grid
+    point where p is exactly 0 gets the bracket of its two neighbours (or
+    of itself and its neighbour at -1 and +1)."""
     values = np.atleast_1d(eval_combo(p, np.asarray(grid))[0])
-    brackets = []
+    pairs = []
     for i in range(len(grid) - 1):
         f0, f1 = values[i], values[i + 1]
         if f0 == 0:
-            brackets.append((grid[max(i - 1, 0)], grid[i + 1]))
+            pairs.append((max(i - 1, 0), i + 1))
         elif f1 != 0 and (f0 > 0) != (f1 > 0):
-            brackets.append((grid[i], grid[i + 1]))
+            pairs.append((i, i + 1))
     if values[-1] == 0:
-        brackets.append((grid[-2], grid[-1]))
-    return brackets
+        pairs.append((-2, -1))
+    return [((grid[i], grid[j]), (values[i], values[j])) for i, j in pairs]
 
 
-def refine_root(p: GegenbauerCombo, bracket):
+def refine_root(p: GegenbauerCombo, bracket, ends):
     """Refine a single root inside a sign-change bracket, in double.
 
-    Newton iteration with the derivative from :func:`eval_combo`, falling
-    back to bisection whenever the Newton step leaves the bracket.
-    Deterministic: identical inputs give bit-identical output.
+    ``ends`` are p's values at the two bracket ends, as the scan computed
+    them; they are not evaluated again, so p is evaluated only strictly
+    inside the bracket.  Newton iteration with the derivative from
+    :func:`eval_combo`, falling back to bisection whenever the Newton
+    step leaves the bracket.  Deterministic: identical inputs give
+    bit-identical output.
     """
     lo, hi = bracket
-    flo, _ = eval_combo(p, lo)
-    fhi, _ = eval_combo(p, hi)
+    flo, fhi = ends
     if flo == 0:
         return lo
     if fhi == 0:
@@ -138,5 +145,5 @@ def isolate_and_refine(p: GegenbauerCombo, expected_count: int) -> RootSet:
             f"expected {expected_count} roots in [-1, 1], "
             f"isolated {len(brackets)}"
         )
-    found = sorted((refine_root(pf, b), b) for b in brackets)
+    found = sorted((refine_root(pf, b, ends), b) for b, ends in brackets)
     return RootSet(roots=tuple(x for x, _ in found), brackets=tuple(b for _, b in found))

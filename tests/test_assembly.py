@@ -11,7 +11,6 @@ from splinequad import assembly
 from splinequad.assembly import (
     DegenerateWeight,
     PolishFailed,
-    arithmetic,
     assemble,
     polish,
     replicate_periodically,
@@ -28,7 +27,7 @@ from splinequad.families import (
     build_family,
 )
 from splinequad.gegenbauer import GegenbauerCombo, eval_combo
-from splinequad.rootfind import isolate_and_refine
+from splinequad.rootfind import REFINE_TOL, isolate_and_refine
 
 from conftest import cached_rule, family_range
 
@@ -248,22 +247,37 @@ class TestExtendedPrecision:
             return eval_combo(p, x)
 
         monkeypatch.setattr(assembly, "eval_combo", counting)
+        dps = EXTENDED_DPS + assembly._GUARD_DIGITS
         with mpmath.workdps(EXTENDED_DPS):
-            arith = arithmetic(extended=True)
-            with arith.working():
-                dd = polish(iv.r.map(DD.of), DD(np.array(found.roots)), found,
-                            arithmetic(extended=False))
+            tol = mpmath.mpf(10) ** (-(dps // 2) - 3)  # as in assembly._free
+            with mpmath.workdps(dps):
+                dd = polish(iv.r.map(DD.of), DD(np.array(found.roots)), found, REFINE_TOL)
                 steps.clear()
-                polish(iv.r, arith.nodes(dd), found, arith)
+                near = np.array([mpmath.mpf(h) + lo for h, lo in zip(dd.hi, dd.lo)],
+                                dtype=object)
+                polish(iv.r, near, found, tol)
                 near_steps = len(steps)
                 seed = np.array([y + mpmath.mpf(10) ** -20 for y in roots], dtype=object)
                 steps.clear()
-                x = polish(iv.r, seed, found, arith)
+                x = polish(iv.r, seed, found, tol)
                 assert len(steps) > near_steps == 1
                 assert max(abs(a - b) for a, b in zip(x, roots)) <= 1e-50
-                monkeypatch.setattr(assembly, "POLISH_STEPS", 1)
-                with pytest.raises(PolishFailed, match="no convergence in 1 Newton"):
-                    polish(iv.r, seed, found, arith)
+
+        # the same seed through assemble, which sets its own tolerance: the
+        # mpf evaluations are the polish steps and the one R'/S pass
+        def far(r, x, found, tol):
+            x = polish(r, x, found, tol)
+            return x + 1e-20 if isinstance(x, DD) else x
+
+        monkeypatch.setattr(assembly, "polish", far)
+        steps.clear()
+        with mpmath.workdps(EXTENDED_DPS):
+            x = assemble(spec, extended=True).intervals[0].nodes
+        assert sum(isinstance(y, np.ndarray) for y in steps) > near_steps + 1
+        assert max(abs(a - b) for a, b in zip(x, roots)) <= 1e-50
+        monkeypatch.setattr(assembly, "POLISH_STEPS", 1)
+        with mpmath.workdps(dps), pytest.raises(PolishFailed, match="no convergence in 1 Newton"):
+            polish(iv.r, seed, found, tol)
 
     @pytest.mark.parametrize("family", list(Family))
     def test_newton_curvature_bound(self, family):

@@ -4,12 +4,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from splinequad import assembly
-from splinequad.assembly import PolishFailed, arithmetic, polish
+from splinequad import assembly, rootfind
+from splinequad.assembly import PolishFailed, polish
 from splinequad.doubledouble import DD
 from splinequad.families import Family, build_family
 from splinequad.gegenbauer import GegenbauerCombo, eval_combo
 from splinequad.rootfind import (
+    REFINE_TOL,
     CountMismatch,
     NoSignChange,
     RootSet,
@@ -22,47 +23,75 @@ QUADRATIC = GegenbauerCombo.build(1.5, [(2, 4), (0, -9)])  # 30x^2 - 15
 SHIFTED = GegenbauerCombo.build(1.5, [(1, 1), (0, math.sqrt(3))])  # 3x + sqrt(3)
 ORDER52_QUAD = GegenbauerCombo.build(2.5, [(2, 1)])        # 17.5 x^2 - 2.5
 AT_MINUS_ONE = GegenbauerCombo.build(1.5, [(1, 1), (0, 3)])  # 3x + 3
+AT_PLUS_ONE = GegenbauerCombo.build(1.5, [(1, 1), (0, -3)])  # 3x - 3
+
+
+def _mpf_tol():
+    """The mpf polish tolerance of a 50-digit rule, 10^(-55//2 - 3)."""
+    return mpmath.mpf(10) ** -30
 
 
 def _polish(combo, roots, brackets, extended):
     """The polish of assembly in one arithmetic, from given double roots,
     at 50 digits, as mpf values (a double-double x.hi + x.lo is exact as
     an mpf)."""
+    found = RootSet(tuple(roots), tuple(brackets))
     with mpmath.workdps(50):
-        arith = arithmetic(extended)
-        x = DD(np.array(roots, dtype=float))
         if extended:
-            x = arith.nodes(x)
-        x = polish(combo.map(arith.lift), x, RootSet(tuple(roots), tuple(brackets)), arith)
-        if isinstance(x, DD):
-            return [mpmath.mpf(h) + lo for h, lo in zip(x.hi, x.lo)]
-        return list(x)
+            x = np.array([mpmath.mpf(r) for r in roots], dtype=object)
+            return list(polish(combo, x, found, _mpf_tol()))
+        x = polish(combo.map(DD.of), DD(np.array(roots, dtype=float)), found, REFINE_TOL)
+        return [mpmath.mpf(h) + lo for h, lo in zip(x.hi, x.lo)]
+
+
+def _refine(combo, bracket):
+    """refine_root with the combo's values at the bracket ends, which the
+    scan passes in."""
+    return refine_root(combo, bracket, [eval_combo(combo, x)[0] for x in bracket])
 
 
 class TestRefineRoot:
     def test_linear(self):
-        assert refine_root(LINEAR, (-0.4, 0.9)) == pytest.approx(0.0, abs=1e-15)
+        assert _refine(LINEAR, (-0.4, 0.9)) == pytest.approx(0.0, abs=1e-15)
 
     def test_shifted_linear(self):
-        root = refine_root(SHIFTED, (-1.0, 0.0))
+        root = _refine(SHIFTED, (-1.0, 0.0))
         assert root == pytest.approx(-0.5773502691896258, abs=1e-15)
 
     def test_order_five_halves_quadratic(self):
-        root = refine_root(ORDER52_QUAD, (0.0, 1.0))
+        root = _refine(ORDER52_QUAD, (0.0, 1.0))
         assert root == pytest.approx(0.3779644730092272, abs=1e-15)
 
     def test_no_sign_change_raises(self):
         with pytest.raises(NoSignChange):
-            refine_root(LINEAR, (0.5, 1.0))
+            _refine(LINEAR, (0.5, 1.0))
 
     def test_bracket_endpoint_already_root(self):
-        assert refine_root(LINEAR, (0.0, 1.0)) == 0.0
-        assert refine_root(LINEAR, (-1.0, 0.0)) == 0.0
+        assert _refine(LINEAR, (0.0, 1.0)) == 0.0
+        assert _refine(LINEAR, (-1.0, 0.0)) == 0.0
 
     def test_deterministic(self):
-        a = refine_root(QUADRATIC, (0.1, 1.0))
-        b = refine_root(QUADRATIC, (0.1, 1.0))
+        a = _refine(QUADRATIC, (0.1, 1.0))
+        b = _refine(QUADRATIC, (0.1, 1.0))
         assert a == b  # bit-identical
+
+    def test_evaluates_only_inside_the_brackets(self, monkeypatch):
+        # the values at the bracket ends come from the scan, so no scalar
+        # evaluation of the refinement lands on a bracket end
+        scalars = []
+
+        def recording(p, x):
+            if np.ndim(x) == 0:
+                scalars.append(x)
+            return eval_combo(p, x)
+
+        monkeypatch.setattr(rootfind, "eval_combo", recording)
+        ends = set()
+        for iv in build_family(Family.C0_EVEN, 24).intervals:
+            rs = isolate_and_refine(iv.r, iv.expected_free_nodes)
+            ends.update(x for bracket in rs.brackets for x in bracket)
+        assert scalars and len(ends) > 24
+        assert ends.isdisjoint(scalars)
 
 
 class TestIsolateAndRefine:
@@ -106,21 +135,36 @@ class TestIsolateAndRefine:
         # the double roots, polished at 50 digits
         rs = isolate_and_refine(QUADRATIC, expected_count=2)
         with mpmath.workdps(50):
-            arith = arithmetic(extended=True)
-            x = arith.nodes(DD(np.array(rs.roots)))
-            roots = polish(QUADRATIC.map(arith.lift), x, rs, arith)
+            x = np.array([mpmath.mpf(r) for r in rs.roots], dtype=object)
+            roots = polish(QUADRATIC, x, rs, _mpf_tol())
             target = 1 / mpmath.sqrt(2)
             assert abs(roots[1] - target) < mpmath.mpf(10) ** -45
             assert isinstance(roots[1], mpmath.mpf)
 
     @pytest.mark.parametrize("extended", [False, True])
     def test_exact_zero_on_the_grid(self, extended):
-        # the grid starts at -1.0 exactly, where 3x + 3 vanishes;
-        # the root gets a bracket and the polish leaves it exact
-        rs = isolate_and_refine(AT_MINUS_ONE, expected_count=1)
-        assert rs.roots == (-1,)
-        assert rs.brackets[0][0] <= -1 < rs.brackets[0][1]
-        assert _polish(AT_MINUS_ONE, rs.roots, rs.brackets, extended) == [-1]
+        # the grid starts at -1.0 exactly, where 3x + 3 vanishes, and ends
+        # at +1.0, where 3x - 3 does; the root gets a bracket and the
+        # polish leaves it exact
+        for combo, root in ((AT_MINUS_ONE, -1), (AT_PLUS_ONE, 1)):
+            rs = isolate_and_refine(combo, expected_count=1)
+            assert rs.roots == (root,)
+            lo, hi = rs.brackets[0]
+            assert lo <= root <= hi and lo < hi
+            assert _polish(combo, rs.roots, rs.brackets, extended) == [root]
+        # an interior grid point g, where 3x - 3g vanishes in double: its
+        # bracket spans both neighbours, and the polish reaches the exact
+        # root fl(3g)/3 of the combo
+        g = rootfind._chebyshev_grid(64)[20]  # the scan grid for one root
+        combo = GegenbauerCombo.build(1.5, [(1, 1), (0, -3 * g)])
+        assert eval_combo(combo, g)[0] == 0
+        rs = isolate_and_refine(combo, expected_count=1)
+        lo, hi = rs.brackets[0]
+        assert lo < g < hi
+        assert rs.roots[0] == pytest.approx(g, abs=1e-15)
+        x, = _polish(combo, rs.roots, rs.brackets, extended)
+        with mpmath.workdps(50):
+            assert abs(x - mpmath.mpf(3 * g) / 3) < (1e-48 if extended else 1e-31)
 
 
 class TestPolishRoot:
