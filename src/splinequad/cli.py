@@ -67,14 +67,21 @@ def rule_to_json(rule) -> str:
     return json.dumps(doc, indent=1) + "\n"
 
 
-def rule_to_csv(rule) -> str:
+def _csv(label_column: str, groups) -> str:
+    """CSV text with a header and one ``(label, index, node, weight)`` row
+    per pair; groups is a list of (label, pairs)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["interval", "index", "node", "weight"])
-    for k, iv in enumerate(rule.intervals):
-        for i, (x, w) in enumerate(zip(iv.nodes, iv.weights)):
-            writer.writerow([k, i, format_sig25(x), format_sig25(w)])
+    writer.writerow([label_column, "index", "node", "weight"])
+    for label, pairs in groups:
+        for i, (x, w) in enumerate(pairs):
+            writer.writerow([label, i, format_sig25(x), format_sig25(w)])
     return buf.getvalue()
+
+
+def rule_to_csv(rule) -> str:
+    return _csv("interval", [(k, zip(iv.nodes, iv.weights))
+                             for k, iv in enumerate(rule.intervals)])
 
 
 def rule_to_maple(rule) -> str:
@@ -110,8 +117,7 @@ def _verify_golden(tol: float) -> bool:
     worst_id, worst = None, -1.0
     for rid in sorted(tables):
         golden = tables[rid]
-        family, n = family_for(golden.smoothness, golden.degree, golden.variant)
-        dev = compare_golden(build_rule(family, n), golden)
+        dev = compare_golden(build_rule(golden.family, golden.n), golden)
         status = "ok" if dev <= tol else "FAIL"
         ok &= dev <= tol
         if dev > worst:
@@ -227,11 +233,7 @@ def cmd_plot(args) -> int:
     with open(args.output, "w") as fh:
         fh.write(svg)
     with open(csv_path, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["series", "index", "node", "weight"])
-        for label, _, pairs in series:
-            for i, (x, w) in enumerate(pairs):
-                writer.writerow([label, i, format_sig25(x), format_sig25(w)])
+        fh.write(_csv("series", [(label, pairs) for label, _, pairs in series]))
     return EXIT_OK
 
 

@@ -4,10 +4,13 @@ Every root sought lies in the reference interval [-1, 1], the one
 interval the rule formulas are stated on, so that is the only interval
 searched.  The formulas guarantee how many simple roots R has there, so
 the solver takes the expected count as input and treats any other
-outcome as an error (:class:`CountMismatch`).  Isolation uses a
-Chebyshev-distributed scan grid, which clusters points near the interval
+outcome as an error (:class:`CountMismatch`).  Isolation is one scan of
+a Chebyshev-distributed grid, which clusters points near the interval
 ends where several families crowd their roots; a uniform grid starts
-missing brackets there at high degree.
+missing brackets there at high degree.  At 8 points per expected root
+the scan finds every root of every family up to ``families.MAX_N``, and
+so does half that density; a count it misses is an error, not a reason
+to scan again.
 
 Isolation and refinement run in double only, in both precisions: the
 double roots and their brackets are the input of the one polish stage in
@@ -125,22 +128,18 @@ def refine_root(p: GegenbauerCombo, bracket, ends):
 def isolate_and_refine(p: GegenbauerCombo, expected_count: int) -> RootSet:
     """Find exactly expected_count simple roots of p in [-1, 1], in double.
 
-    Scans a Chebyshev grid of max(64, 8 * expected_count) points, retries
-    once at 4x density, and raises :class:`CountMismatch` if the bracket
-    count still disagrees with the expectation.  The roots come out
-    ascending, each with the bracket it was refined in.
+    Scans one Chebyshev grid of max(64, 8 * expected_count) points and
+    raises :class:`CountMismatch` if the bracket count disagrees with the
+    expectation.  The roots come out ascending, each with the bracket it
+    was refined in.
     """
     if p.is_empty:
         raise ValueError("combo is identically zero")
     if expected_count < 0:
         raise ValueError("expected_count must be >= 0")
     pf = p.map(float)
-    m = max(64, 8 * expected_count)
-    for density in (m, 4 * m):
-        brackets = _scan(pf, _chebyshev_grid(density))
-        if len(brackets) == expected_count:
-            break
-    else:
+    brackets = _scan(pf, _chebyshev_grid(max(64, 8 * expected_count)))
+    if len(brackets) != expected_count:
         raise CountMismatch(
             f"expected {expected_count} roots in [-1, 1], "
             f"isolated {len(brackets)}"

@@ -7,7 +7,10 @@ code:
   matching uniform spline space (integer breakpoints, knot multiplicity
   D - c, with the class c taken from the rule's family) and compare the
   quadrature of every interior basis function with the exact
-  knot-difference integral (t_{i+D+1} - t_i) / (D + 1);
+  knot-difference integral (t_{i+D+1} - t_i) / (D + 1).  The basis is
+  evaluated one way: per node, the Cox-de Boor triangle gives the D + 1
+  basis values nonzero on the node's span, which are summed per basis
+  function;
 * golden regression - positional comparison against the checked-in
   25-digit reference tables.
 
@@ -25,6 +28,8 @@ from fractions import Fraction
 from importlib import resources
 
 from .assembly import ScaledRule, replicate_periodically
+from .catalog import family_for, rule_id
+from .families import Family
 
 # periods check_exactness tiles a rule over
 COPIES = 6
@@ -36,14 +41,13 @@ class EntryCountMismatch(Exception):
 
 @dataclass(frozen=True)
 class KnotVector:
-    """Uniform spline space on integer breakpoints 0..num_spans.
+    """Uniform spline space on integer breakpoints 0..knots[-1].
 
     Interior breakpoints carry multiplicity degree - continuity, the ends
     are clamped (multiplicity degree + 1), so the basis is a full
-    partition of unity on [0, num_spans]."""
+    partition of unity on [0, knots[-1]]."""
 
     degree: int
-    num_spans: int
     knots: tuple
 
     @property
@@ -59,18 +63,14 @@ def make_knot_vector(degree: int, continuity: int, num_spans: int) -> KnotVector
     for b in range(1, num_spans):
         knots.extend([b] * mult)
     knots.extend([num_spans] * (degree + 1))
-    return KnotVector(degree, num_spans, tuple(knots))
+    return KnotVector(degree, tuple(knots))
 
 
 def _find_span(kv: KnotVector, x) -> int:
-    """Index s with knots[s] <= x < knots[s+1] (last nonempty span at x = M)."""
-    if x >= kv.num_spans:
-        x = kv.num_spans
-        s = len(kv.knots) - kv.degree - 2
-        while kv.knots[s] == kv.knots[s + 1]:
-            s -= 1
-        return s
-    return bisect_right(kv.knots, x) - 1
+    """Index s with knots[s] <= x < knots[s+1].  At the clamped right end
+    x = knots[-1], where no such s exists, the last nonempty span,
+    s = num_basis - 1."""
+    return min(bisect_right(kv.knots, x) - 1, kv.num_basis - 1)
 
 
 def _basis_values(kv: KnotVector, span: int, x):
@@ -94,18 +94,6 @@ def _basis_values(kv: KnotVector, span: int, x):
         nxt.append(saved)
         values = nxt
     return values
-
-
-def eval_bspline(kv: KnotVector, i: int, x) -> float:
-    """Value of the i-th normalized B-spline; 0 outside its support."""
-    if not 0 <= i < kv.num_basis:
-        raise IndexError(f"basis index {i} out of range 0..{kv.num_basis - 1}")
-    if x < kv.knots[i] or x > kv.knots[i + kv.degree + 1]:
-        return 0.0
-    span = _find_span(kv, x)
-    if i < span - kv.degree or i > span:
-        return 0.0
-    return _basis_values(kv, span, x)[i - span + kv.degree]
 
 
 def exact_bspline_integral(kv: KnotVector, i: int) -> Fraction:
@@ -165,12 +153,12 @@ def check_exactness(rule: ScaledRule, degree: int | None = None) -> ExactnessRep
 
 @dataclass(frozen=True)
 class GoldenRule:
-    """One reference table: 25-digit decimal strings, split per interval."""
+    """One reference table, for the rule (family, n) it names: 25-digit
+    decimal strings, split per interval."""
 
     rule_id: str
-    smoothness: int
-    degree: int
-    variant: str
+    family: Family
+    n: int
     intervals: tuple  # tuple of tuples of (x_str, w_str)
 
     @property
@@ -179,17 +167,24 @@ class GoldenRule:
 
 
 def load_golden_tables() -> dict:
-    """All reference tables from the packaged data file, keyed by id."""
+    """All reference tables from the packaged data file, keyed by id.
+
+    Each record's class, degree and variant are resolved to its family
+    and n once, here; a record whose key is not the catalog id of that
+    rule raises ValueError."""
     raw = json.loads(
         resources.files("splinequad.data").joinpath("golden.json").read_text()
     )
     tables = {}
     for rid, rec in raw.items():
+        family, n = family_for(rec["class"], rec["degree"], rec["variant"])
+        if rule_id(family, n) != rid:
+            raise ValueError(f"reference table {rid} holds the rule "
+                             f"{rule_id(family, n)}")
         tables[rid] = GoldenRule(
             rule_id=rid,
-            smoothness=rec["class"],
-            degree=rec["degree"],
-            variant=rec["variant"],
+            family=family,
+            n=n,
             intervals=tuple(
                 tuple((x, w) for x, w in iv) for iv in rec["intervals"]
             ),

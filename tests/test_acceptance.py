@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from splinequad.catalog import build_rule, family_for
+from splinequad.catalog import build_rule
 from splinequad.families import Family, build_family
 from splinequad.rootfind import CountMismatch, isolate_and_refine
 from splinequad.splinecheck import (
@@ -54,9 +54,7 @@ def test_criterion_1_golden_regression():
     worst = -1.0
     worst_id = None
     for rid, golden in sorted(tables.items()):
-        variant = None if golden.variant == "default" else golden.variant
-        family, n = family_for(golden.smoothness, golden.degree, variant)
-        dev = compare_golden(build_rule(family, n), golden)
+        dev = compare_golden(build_rule(golden.family, golden.n), golden)
         if dev > worst:
             worst, worst_id = dev, rid
     elapsed = time.perf_counter() - start

@@ -152,7 +152,7 @@ class TestPlot:
         svg = path.read_text()
         assert svg.startswith("<svg")
         assert "endpoint" in svg and "interior" in svg
-        rows = list(csv.reader((tmp_path / "weights.csv").open()))
+        rows = list(csv.reader((tmp_path / "weights.csv").read_text().splitlines()))
         assert rows[0] == ["series", "index", "node", "weight"]
         assert {r[0] for r in rows[1:]} == {"endpoint", "interior"}
 
@@ -170,7 +170,8 @@ class TestPlot:
                    "--output", str(path)])
         assert rc == EXIT_OK
         assert path.read_text().startswith("<svg")
-        rows = list(csv.reader((tmp_path / "out.d" / "weights.csv").open()))
+        text = (tmp_path / "out.d" / "weights.csv").read_text()
+        rows = list(csv.reader(text.splitlines()))
         assert rows[0] == ["series", "index", "node", "weight"]
         assert not (tmp_path / "out.csv").exists()
 

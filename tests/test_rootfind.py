@@ -7,7 +7,7 @@ import pytest
 from splinequad import assembly, rootfind
 from splinequad.assembly import PolishFailed, polish
 from splinequad.doubledouble import DD
-from splinequad.families import Family, build_family
+from splinequad.families import MAX_N, Family, build_family
 from splinequad.gegenbauer import GegenbauerCombo, eval_combo
 from splinequad.rootfind import (
     REFINE_TOL,
@@ -121,6 +121,31 @@ class TestIsolateAndRefine:
         iv = spec.intervals[0]
         with pytest.raises(CountMismatch):
             isolate_and_refine(iv.r, expected_count=iv.expected_free_nodes)
+
+    def test_one_scan_before_a_count_mismatch(self, monkeypatch):
+        # the rejected delta branch raises after one scan, not a denser retry
+        scans = []
+        scan = rootfind._scan
+
+        def counting(p, grid):
+            scans.append(len(grid))
+            return scan(p, grid)
+
+        monkeypatch.setattr(rootfind, "_scan", counting)
+        iv = build_family(Family.C1_ODD_INTERIOR, 5, delta_sign=-1).intervals[0]
+        with pytest.raises(CountMismatch):
+            isolate_and_refine(iv.r, iv.expected_free_nodes)
+        assert scans == [max(64, 8 * iv.expected_free_nodes)]
+
+    @pytest.mark.parametrize("n", [50, 100, 150, MAX_N])
+    def test_half_density_scan_finds_every_root(self, n):
+        # the margin behind the single scan: every family's intervals keep
+        # their full root count at half the scan density
+        for family in Family:
+            for iv in build_family(family, n).intervals:
+                count = iv.expected_free_nodes
+                grid = rootfind._chebyshev_grid(max(32, 4 * count))
+                assert len(rootfind._scan(iv.r.map(float), grid)) == count, family
 
     def test_empty_combo_rejected(self):
         with pytest.raises(ValueError):

@@ -1,17 +1,21 @@
+import json
+from dataclasses import replace
 from fractions import Fraction
+from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from splinequad import splinecheck
-from splinequad.catalog import build_rule, family_for
+from splinequad.catalog import rule_id
 from splinequad.families import Family
 from splinequad.splinecheck import (
     EntryCountMismatch,
-    GoldenRule,
+    _basis_values,
+    _find_span,
     check_exactness,
     compare_golden,
-    eval_bspline,
     exact_bspline_integral,
     load_golden_tables,
     make_knot_vector,
@@ -38,37 +42,45 @@ class TestKnotVector:
             make_knot_vector(2, -1, 4)
 
 
+def _span_values(kv, x):
+    """The span index at x and the basis values nonzero on it, as the
+    oracle computes them."""
+    span = _find_span(kv, x)
+    return span, _basis_values(kv, span, x)
+
+
 class TestEvalBspline:
+    """The basis as check_exactness evaluates it: per point, the vector of
+    the degree + 1 values nonzero on its span."""
+
     def test_hat_function(self):
         kv = make_knot_vector(degree=1, continuity=0, num_spans=3)
-        assert eval_bspline(kv, 1, 1.0) == pytest.approx(1.0)
-        assert eval_bspline(kv, 1, 0.5) == pytest.approx(0.5)
-        assert eval_bspline(kv, 1, 1.5) == pytest.approx(0.5)
-        assert eval_bspline(kv, 1, 2.5) == 0.0
+        assert _span_values(kv, 0.5) == (1, pytest.approx([0.5, 0.5]))
+        assert _span_values(kv, 1.0) == (2, pytest.approx([1.0, 0.0]))
+        assert _span_values(kv, 1.5) == (2, pytest.approx([0.5, 0.5]))
+        assert _span_values(kv, 2.5)[0] == 3  # hat 1 ends at 2
 
     def test_uniform_quadratic_peak(self):
         kv = make_knot_vector(degree=2, continuity=1, num_spans=4)
-        # full-support interior basis spans breakpoints 0..3; peak 3/4
-        assert eval_bspline(kv, 2, 1.5) == pytest.approx(0.75)
+        # span [1, 2]: the full-support interior basis 2 on breakpoints
+        # 0..3 peaks at 3/4, its neighbours carry 1/8 each
+        assert _span_values(kv, 1.5) == (3, pytest.approx([0.125, 0.75, 0.125]))
 
     def test_partition_of_unity(self):
         for degree, continuity in ((3, 0), (5, 1), (7, 1)):
             kv = make_knot_vector(degree, continuity, 5)
             for x in np.linspace(0, 5, 41):
-                total = sum(eval_bspline(kv, i, float(x))
-                            for i in range(kv.num_basis))
-                assert total == pytest.approx(1.0, abs=1e-12)
+                span, values = _span_values(kv, float(x))
+                assert len(values) == degree + 1
+                assert degree <= span < kv.num_basis
+                assert sum(values) == pytest.approx(1.0, abs=1e-12)
 
     def test_right_endpoint(self):
-        kv = make_knot_vector(3, 1, 4)
-        assert eval_bspline(kv, kv.num_basis - 1, 4.0) == pytest.approx(1.0)
-
-    def test_index_out_of_range(self):
-        kv = make_knot_vector(2, 1, 3)
-        with pytest.raises(IndexError):
-            eval_bspline(kv, kv.num_basis, 1.0)
-        with pytest.raises(IndexError):
-            eval_bspline(kv, -1, 1.0)
+        num_spans = 4
+        kv = make_knot_vector(3, 1, num_spans)
+        span, values = _span_values(kv, float(num_spans))
+        assert span == kv.num_basis - 1
+        assert values[-1] == pytest.approx(1.0)
 
 
 class TestExactIntegral:
@@ -90,7 +102,9 @@ class TestExactIntegral:
         for k in range(6):
             for iv in rule.intervals:
                 for x, w in zip(iv.nodes, iv.weights):
-                    total += float(w) * eval_bspline(kv, i, float(x) + k)
+                    span, values = _span_values(kv, float(x) + k)
+                    if span - kv.degree <= i <= span:
+                        total += float(w) * values[i - span + kv.degree]
         assert total == pytest.approx(float(exact_bspline_integral(kv, i)),
                                       abs=1e-13)
 
@@ -138,38 +152,37 @@ class TestGolden:
         assert len(tables) == 34
         assert "C0xD2" in tables and "C1xD15x2" in tables
         for rid, g in tables.items():
-            assert g.rule_id == rid
-            assert g.smoothness in (0, 1)
+            assert g.rule_id == rid == rule_id(g.family, g.n)
+            assert g.family.smoothness in (0, 1)
             assert all(len(e) == 2 for e in g.entries)
+
+    def test_mislabeled_record_raises(self, monkeypatch, tmp_path):
+        raw = json.loads(resources.files("splinequad.data")
+                         .joinpath("golden.json").read_text())
+        raw["C1xD7x2"]["variant"] = "endpoint"  # the record of C1xD7
+        (tmp_path / "golden.json").write_text(json.dumps(raw))
+        monkeypatch.setattr(splinecheck, "resources",
+                            SimpleNamespace(files=lambda package: tmp_path))
+        with pytest.raises(ValueError, match="C1xD7x2 holds the rule C1xD7$"):
+            load_golden_tables()
 
     def test_generated_rules_match_tables(self):
         tables = load_golden_tables()
         for rid in ("C0xD5", "C1xD7", "C1xD7x2", "C1xD8"):
             g = tables[rid]
-            variant = None if g.variant == "default" else g.variant
-            family, n = family_for(g.smoothness, g.degree, variant)
-            assert compare_golden(cached_rule(family, n), g) <= 1e-13
+            assert compare_golden(cached_rule(g.family, g.n), g) <= 1e-13
 
     def test_entry_count_mismatch(self):
         g = load_golden_tables()["C0xD5"]
-        truncated = GoldenRule(
-            rule_id=g.rule_id, smoothness=g.smoothness, degree=g.degree,
-            variant=g.variant, intervals=g.intervals[:1],
-        )
-        family, n = family_for(g.smoothness, g.degree, None)
+        truncated = replace(g, intervals=g.intervals[:1])
         with pytest.raises(EntryCountMismatch):
-            compare_golden(cached_rule(family, n), truncated)
+            compare_golden(cached_rule(g.family, g.n), truncated)
 
     def test_deviation_detects_perturbation(self):
         g = load_golden_tables()["C1xD5"]
-        family, n = family_for(g.smoothness, g.degree, None)
-        rule = cached_rule(family, n)
-        bumped = GoldenRule(
-            rule_id=g.rule_id, smoothness=g.smoothness, degree=g.degree,
-            variant=g.variant,
-            intervals=tuple(
-                tuple((x, str(float(w) + 1e-6)) for x, w in iv)
-                for iv in g.intervals
-            ),
-        )
+        rule = cached_rule(g.family, g.n)
+        bumped = replace(g, intervals=tuple(
+            tuple((x, str(float(w) + 1e-6)) for x, w in iv)
+            for iv in g.intervals
+        ))
         assert compare_golden(rule, bumped) >= 0.9e-6
