@@ -17,7 +17,8 @@ double roots and their brackets are the input of the one polish stage in
 :mod:`splinequad.assembly`, which takes them to the working arithmetic.
 The scan evaluates the combo once on the whole grid; refinement starts
 from the values it found at each bracket's ends and evaluates only
-inside the bracket.
+inside the bracket.  A grid point where the combo is exactly 0 in double
+is returned as the root, with the bracket of its two neighbours.
 
 A companion-matrix eigenvalue path was deliberately not used: the combos
 are cheap to evaluate through the recurrence and the root counts are
@@ -62,21 +63,26 @@ def _chebyshev_grid(m: int) -> list:
 
 
 def _scan(p: GegenbauerCombo, grid) -> list:
-    """Sign-change brackets of p on the grid, ascending, each as a pair
-    ``(bracket, ends)`` with p's values at the bracket's two ends.  A grid
-    point where p is exactly 0 gets the bracket of its two neighbours (or
-    of itself and its neighbour at -1 and +1)."""
+    """Sign-change brackets of p on the grid, ascending, each as a triple
+    ``(bracket, start, ends)``: the bracket the root lies in, the
+    sub-bracket refinement starts from, and p's values at that
+    sub-bracket's two ends.  A grid point g where p is exactly 0 is
+    bracketed by its two neighbours (or by itself and its neighbour at -1
+    and +1), and refinement starts from g and the point after it, so it
+    returns g itself."""
     values = np.atleast_1d(eval_combo(p, np.asarray(grid))[0])
-    pairs = []
-    for i in range(len(grid) - 1):
+    last = len(grid) - 1
+    found = []  # (bracket, start) as grid index pairs
+    for i in range(last):
         f0, f1 = values[i], values[i + 1]
         if f0 == 0:
-            pairs.append((max(i - 1, 0), i + 1))
+            found.append(((max(i - 1, 0), i + 1), (i, i + 1)))
         elif f1 != 0 and (f0 > 0) != (f1 > 0):
-            pairs.append((i, i + 1))
+            found.append(((i, i + 1), (i, i + 1)))
     if values[-1] == 0:
-        pairs.append((-2, -1))
-    return [((grid[i], grid[j]), (values[i], values[j])) for i, j in pairs]
+        found.append(((last - 1, last), (last - 1, last)))
+    return [((grid[a], grid[b]), (grid[i], grid[j]), (values[i], values[j]))
+            for (a, b), (i, j) in found]
 
 
 def refine_root(p: GegenbauerCombo, bracket, ends):
@@ -144,5 +150,5 @@ def isolate_and_refine(p: GegenbauerCombo, expected_count: int) -> RootSet:
             f"expected {expected_count} roots in [-1, 1], "
             f"isolated {len(brackets)}"
         )
-    found = sorted((refine_root(pf, b, ends), b) for b, ends in brackets)
+    found = sorted((refine_root(pf, start, ends), b) for b, start, ends in brackets)
     return RootSet(roots=tuple(x for x, _ in found), brackets=tuple(b for _, b in found))

@@ -8,9 +8,13 @@ code:
   D - c, with the class c taken from the rule's family) and compare the
   quadrature of every interior basis function with the exact
   knot-difference integral (t_{i+D+1} - t_i) / (D + 1).  The basis is
-  evaluated one way: per node, the Cox-de Boor triangle gives the D + 1
-  basis values nonzero on the node's span, which are summed per basis
-  function;
+  evaluated one way, one knot span at a time: the tiled nodes are sorted,
+  so the nodes in a span form one run, and the Cox-de Boor triangle runs
+  on an array of that run, giving the D + 1 basis values nonzero on the
+  span at each of its nodes.  The weighted values are added per basis
+  function in node order, so every sum is, to the bit, the one a loop
+  over the nodes would make.  Only one span's nodes are held at a time:
+  the arrays stay m x (D + 1) for the m nodes of a span;
 * golden regression - positional comparison against the checked-in
   25-digit reference tables.
 
@@ -22,10 +26,11 @@ cut off by the ends of the replicated span are legitimately missed.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+
+import numpy as np
 
 from .assembly import ScaledRule, replicate_periodically
 from .catalog import family_for, rule_id
@@ -66,33 +71,38 @@ def make_knot_vector(degree: int, continuity: int, num_spans: int) -> KnotVector
     return KnotVector(degree, tuple(knots))
 
 
-def _find_span(kv: KnotVector, x) -> int:
-    """Index s with knots[s] <= x < knots[s+1].  At the clamped right end
-    x = knots[-1], where no such s exists, the last nonempty span,
-    s = num_basis - 1."""
-    return min(bisect_right(kv.knots, x) - 1, kv.num_basis - 1)
+def _find_spans(kv: KnotVector, x: np.ndarray) -> np.ndarray:
+    """Per point of x, the index s with knots[s] <= x < knots[s+1].  At
+    the clamped right end x = knots[-1], where no such s exists, the last
+    nonempty span, s = num_basis - 1."""
+    spans = np.searchsorted(kv.knots, x, side="right") - 1
+    return np.minimum(spans, kv.num_basis - 1)
 
 
-def _basis_values(kv: KnotVector, span: int, x):
-    """Values of the degree+1 basis functions that are nonzero on the span.
+def _span_basis(kv: KnotVector, span: int, x: np.ndarray) -> np.ndarray:
+    """Values of the degree+1 basis functions that are nonzero on the span,
+    at every point of x (all of them in that span): row k holds the values
+    at x[k] for indices span-degree .. span.
 
-    Standard triangular Cox-de Boor scheme; returns values for indices
-    span-degree .. span."""
-    knots = kv.knots
-    values = [1.0]
-    left = []
-    right = []
-    for j in range(1, kv.degree + 1):
-        left.append(x - knots[span + 1 - j])
-        right.append(knots[span + j] - x)
-        saved = 0.0
-        nxt = []
-        for r in range(j):
-            tmp = values[r] / (right[r] + left[j - 1 - r])
-            nxt.append(saved + right[r] * tmp)
-            saved = left[j - 1 - r] * tmp
-        nxt.append(saved)
-        values = nxt
+    Standard triangular Cox-de Boor scheme, run on all points at once.
+    Each row goes through the operations of the scalar triangle, in its
+    order, so a row is bit-identical to the scalar values at its point."""
+    degree = kv.degree
+    knots = np.asarray(kv.knots, dtype=float)
+    x = x[:, None]
+    left = x - knots[span:span - degree:-1]  # left[:, j-1] = x - t[span+1-j]
+    right = knots[span + 1:span + degree + 1] - x  # right[:, j-1] = t[span+j] - x
+    values = np.zeros((len(x), degree + 1))
+    values[:, 0] = 1.0
+    for j in range(1, degree + 1):
+        # tmp[r] = values[r] / (right[r] + left[j-1-r]) for r < j; the new
+        # values[r] = saved[r] + right[r] * tmp[r] (r < j) and values[j] =
+        # saved[j], with saved[0] = 0 and saved[r] = left[j-r] * tmp[r-1]
+        flipped = left[:, j - 1::-1]
+        tmp = values[:, :j] / (right[:, :j] + flipped)
+        values[:, 1:j + 1] = flipped * tmp
+        values[:, 0] = 0.0
+        values[:, :j] += right[:, :j] * tmp
     return values
 
 
@@ -117,6 +127,11 @@ def check_exactness(rule: ScaledRule, degree: int | None = None) -> ExactnessRep
     """Quadrature error of the rule tiled over ``COPIES`` periods, over
     every interior B-spline.
 
+    The tiled nodes are grouped by knot span, one ``searchsorted`` for
+    all of them; per span, the basis values at its nodes come from one
+    array Cox-de Boor triangle, and ``w * B`` is added into the per-basis
+    sums node by node, in node order, with ``np.add.at``.
+
     The spline space has the rule's smoothness class and, by default,
     its exactness degree; passing degree = rule.degree + 1 provides the
     negative control showing the rule is sharp.  Interior means the
@@ -127,21 +142,24 @@ def check_exactness(rule: ScaledRule, degree: int | None = None) -> ExactnessRep
         degree = rule.degree
     span_count = COPIES * rule.period_intervals
     kv = make_knot_vector(degree, rule.family.smoothness, span_count)
-    sums = [0.0] * kv.num_basis
-    for x, w in replicate_periodically(rule, COPIES):
-        x = float(x)
-        w = float(w)
-        span = _find_span(kv, x)
-        for r, v in enumerate(_basis_values(kv, span, x)):
-            sums[span - degree + r] += w * v
+    x, w = (np.array(v, dtype=float)
+            for v in zip(*replicate_periodically(rule, COPIES)))
+    spans = _find_spans(kv, x)
+    starts = np.flatnonzero(np.diff(spans, prepend=-1))  # x is sorted
+    sums = np.zeros(kv.num_basis)
+    for a, b in zip(starts, np.append(starts[1:], len(x))):
+        span = int(spans[a])
+        terms = w[a:b, None] * _span_basis(kv, span, x[a:b])
+        basis = np.arange(span - degree, span + 1)
+        np.add.at(sums, np.broadcast_to(basis, terms.shape), terms)
     max_err = -1.0
     worst = -1
     tested = 0
-    for i in range(kv.num_basis):
+    for i, total in enumerate(sums.tolist()):
         if kv.knots[i] < 1 or kv.knots[i + degree + 1] > span_count - 1:
             continue
         tested += 1
-        err = abs(sums[i] - float(exact_bspline_integral(kv, i)))
+        err = abs(total - float(exact_bspline_integral(kv, i)))
         if err > max_err:
             max_err, worst = err, i
     return ExactnessReport(

@@ -177,19 +177,20 @@ class TestIsolateAndRefine:
             lo, hi = rs.brackets[0]
             assert lo <= root <= hi and lo < hi
             assert _polish(combo, rs.roots, rs.brackets, extended) == [root]
-        # an interior grid point g, where 3x - 3g vanishes in double: its
-        # bracket spans both neighbours, and the polish reaches the exact
-        # root fl(3g)/3 of the combo
-        g = rootfind._chebyshev_grid(64)[20]  # the scan grid for one root
-        combo = GegenbauerCombo.build(1.5, [(1, 1), (0, -3 * g)])
-        assert eval_combo(combo, g)[0] == 0
-        rs = isolate_and_refine(combo, expected_count=1)
-        lo, hi = rs.brackets[0]
-        assert lo < g < hi
-        assert rs.roots[0] == pytest.approx(g, abs=1e-15)
-        x, = _polish(combo, rs.roots, rs.brackets, extended)
-        with mpmath.workdps(50):
-            assert abs(x - mpmath.mpf(3 * g) / 3) < (1e-48 if extended else 1e-31)
+        # an interior grid point g, where 3x - 3g vanishes in double: the
+        # double root is g itself, its bracket spans both neighbours, and
+        # the polish reaches the exact root fl(3g)/3 of the combo
+        for i in (1, 20, 31, 62):
+            g = rootfind._chebyshev_grid(64)[i]  # the scan grid for one root
+            combo = GegenbauerCombo.build(1.5, [(1, 1), (0, -3 * g)])
+            assert eval_combo(combo, g)[0] == 0
+            rs = isolate_and_refine(combo, expected_count=1)
+            assert rs.roots == (g,), i
+            lo, hi = rs.brackets[0]
+            assert lo < g < hi
+            x, = _polish(combo, rs.roots, rs.brackets, extended)
+            with mpmath.workdps(50):
+                assert abs(x - mpmath.mpf(3 * g) / 3) < (1e-48 if extended else 1e-31)
 
 
 class TestPolishRoot:

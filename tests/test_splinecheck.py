@@ -1,4 +1,6 @@
+import hashlib
 import json
+from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
@@ -12,8 +14,8 @@ from splinequad.catalog import rule_id
 from splinequad.families import Family
 from splinequad.splinecheck import (
     EntryCountMismatch,
-    _basis_values,
-    _find_span,
+    _find_spans,
+    _span_basis,
     check_exactness,
     compare_golden,
     exact_bspline_integral,
@@ -45,20 +47,45 @@ class TestKnotVector:
 def _span_values(kv, x):
     """The span index at x and the basis values nonzero on it, as the
     oracle computes them."""
-    span = _find_span(kv, x)
-    return span, _basis_values(kv, span, x)
+    span = int(_find_spans(kv, np.array([x]))[0])
+    return span, list(_span_basis(kv, span, np.array([x]))[0])
+
+
+def _scalar_basis(kv, span, x):
+    """Reference: the per-point triangular Cox-de Boor scheme, values for
+    indices span-degree .. span."""
+    knots = kv.knots
+    values = [1.0]
+    left = []
+    right = []
+    for j in range(1, kv.degree + 1):
+        left.append(x - knots[span + 1 - j])
+        right.append(knots[span + j] - x)
+        saved = 0.0
+        nxt = []
+        for r in range(j):
+            tmp = values[r] / (right[r] + left[j - 1 - r])
+            nxt.append(saved + right[r] * tmp)
+            saved = left[j - 1 - r] * tmp
+        nxt.append(saved)
+        values = nxt
+    return values
 
 
 class TestEvalBspline:
-    """The basis as check_exactness evaluates it: per point, the vector of
-    the degree + 1 values nonzero on its span."""
+    """The basis as check_exactness evaluates it: per span, the array of
+    the degree + 1 values nonzero on it at each point of the span."""
 
     def test_hat_function(self):
         kv = make_knot_vector(degree=1, continuity=0, num_spans=3)
+        assert _find_spans(kv, np.array([0.5, 1.0, 1.5, 2.5])).tolist() == [
+            1, 2, 2, 3]  # hat 1 ends at 2
         assert _span_values(kv, 0.5) == (1, pytest.approx([0.5, 0.5]))
         assert _span_values(kv, 1.0) == (2, pytest.approx([1.0, 0.0]))
         assert _span_values(kv, 1.5) == (2, pytest.approx([0.5, 0.5]))
-        assert _span_values(kv, 2.5)[0] == 3  # hat 1 ends at 2
+        # both points of span 2 in one array, rows in point order
+        assert _span_basis(kv, 2, np.array([1.0, 1.5])).tolist() == [
+            [1.0, 0.0], [0.5, 0.5]]
 
     def test_uniform_quadratic_peak(self):
         kv = make_knot_vector(degree=2, continuity=1, num_spans=4)
@@ -69,11 +96,13 @@ class TestEvalBspline:
     def test_partition_of_unity(self):
         for degree, continuity in ((3, 0), (5, 1), (7, 1)):
             kv = make_knot_vector(degree, continuity, 5)
-            for x in np.linspace(0, 5, 41):
-                span, values = _span_values(kv, float(x))
-                assert len(values) == degree + 1
-                assert degree <= span < kv.num_basis
-                assert sum(values) == pytest.approx(1.0, abs=1e-12)
+            x = np.linspace(0, 5, 41)
+            spans = _find_spans(kv, x)
+            assert all(degree <= s < kv.num_basis for s in spans)
+            for span in set(spans.tolist()):
+                values = _span_basis(kv, span, x[spans == span])
+                assert values.shape == ((spans == span).sum(), degree + 1)
+                assert values.sum(axis=1) == pytest.approx(1.0, abs=1e-12)
 
     def test_right_endpoint(self):
         num_spans = 4
@@ -81,6 +110,23 @@ class TestEvalBspline:
         span, values = _span_values(kv, float(num_spans))
         assert span == kv.num_basis - 1
         assert values[-1] == pytest.approx(1.0)
+
+    def test_bit_identical_to_the_scalar_triangle(self):
+        # the array rows against the per-point scheme they replace, and the
+        # spans against bisect_right clamped to the last nonempty span; the
+        # smoother spaces give Cox-de Boor denominators other than 1 and 2
+        rng = np.random.default_rng(7)
+        for degree, continuity in ((1, 0), (4, 0), (9, 1), (33, 1), (100, 0),
+                                   (6, 4), (8, 7)):
+            kv = make_knot_vector(degree, continuity, 7)
+            x = np.concatenate((np.arange(8.0), rng.uniform(0, 7, 200)))
+            spans = _find_spans(kv, x)
+            assert spans.tolist() == [
+                min(bisect_right(kv.knots, v) - 1, kv.num_basis - 1) for v in x]
+            for span in set(spans.tolist()):
+                at = x[spans == span]
+                rows = _span_basis(kv, span, at).tolist()
+                assert rows == [_scalar_basis(kv, span, v) for v in at.tolist()]
 
 
 class TestExactIntegral:
@@ -121,6 +167,32 @@ class TestCheckExactness:
             report = check_exactness(cached_rule(family, n))
             assert report.max_abs_error <= 1e-12, family
             assert report.tested_basis_count > 0
+
+    @pytest.mark.parametrize("n", [50, 100])
+    def test_rules_integrate_their_spline_space_at_large_n(self, n):
+        # past criterion 2's degree 25, with its 1e-11 bound
+        for family in Family:
+            report = check_exactness(cached_rule(family, n))
+            assert report.max_abs_error <= 1e-11, family
+            assert report.tested_basis_count > 0
+
+    def test_reports_bit_identical(self):
+        # SHA-256 of every report's fields, at the rule's degree and one
+        # above, for every family at n = min_n..32 and n = 50; computed
+        # with the per-node oracle this array code replaced
+        reports = []
+        for family in Family:
+            for n in [*range(family.min_n, 33), 50]:
+                rule = cached_rule(family, n)
+                a = check_exactness(rule)
+                b = check_exactness(rule, degree=rule.degree + 1)
+                reports.append((
+                    family.name, n,
+                    a.max_abs_error.hex(), a.worst_basis_index, a.tested_basis_count,
+                    b.max_abs_error.hex(), b.worst_basis_index, b.tested_basis_count,
+                ))
+        assert hashlib.sha256(repr(reports).encode()).hexdigest() == (
+            "026d8baae971a5de5ab66f361aaddeb99ef18b9f9f3434a423cb1b2b0ba43dba")
 
     def test_negative_control_one_degree_up(self):
         rule = cached_rule(Family.C0_ODD, 3)
