@@ -3,31 +3,37 @@
 Two checks live here, deliberately decoupled from the rule construction
 code:
 
-* spline exactness - tile a rule over ``COPIES`` periods, build the
-  matching uniform spline space (integer breakpoints, knot multiplicity
-  D - c, with the class c taken from the rule's family) and compare the
-  quadrature of every interior basis function with the exact
-  knot-difference integral (t_{i+D+1} - t_i) / (D + 1).  The basis is
-  evaluated one way, one knot span at a time: the tiled nodes are sorted,
-  so the nodes in a span form one run, and the Cox-de Boor triangle runs
-  on an array of that run, giving the D + 1 basis values nonzero on the
-  span at each of its nodes.  The weighted values are added per basis
-  function in node order, so every sum is, to the bit, the one a loop
-  over the nodes would make.  Only one span's nodes are held at a time:
-  the arrays stay m x (D + 1) for the m nodes of a span;
+* spline exactness - tile a rule over ``COPIES`` periods, state the
+  matching uniform spline space as one float knot array (integer
+  breakpoints, knot multiplicity D - c, with the class c taken from the
+  rule's family) and compare the quadrature of every interior basis
+  function with the exact knot-difference integral
+  (t_{i+D+1} - t_i) / (D + 1), all of them in one array expression.
+  The basis is evaluated one way, one knot span at a time: the tiled
+  nodes are sorted, so the nodes in a span form one run, and the
+  Cox-de Boor triangle runs on an array of that run, giving the D + 1
+  basis values nonzero on the span at each of its nodes.  The weighted
+  values are added per basis function in node order, so every sum is,
+  to the bit, the one a loop over the nodes would make.  Only one span's
+  nodes are held at a time: the arrays stay m x (D + 1) for the m nodes
+  of a span;
 * golden regression - positional comparison against the checked-in
   25-digit reference tables.
 
-Boundary-truncated basis functions are excluded from the exactness
-check: the rules are built for the unbounded periodic line, so splines
-cut off by the ends of the replicated span are legitimately missed.
+Both checks fail closed.  A NaN weight gives a NaN error in both, never a
+smaller one, and so does a NaN node in the golden comparison; in the
+exactness check a NaN node lands in no interior span, so its weight is
+missing from the sums and the error is of the size of that weight.
+Boundary-truncated basis functions are excluded from the
+exactness check: the rules are built for the unbounded periodic line, so
+splines cut off by the ends of the replicated span are legitimately
+missed.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -44,42 +50,17 @@ class EntryCountMismatch(Exception):
     """Generated rule and reference table disagree on the number of entries."""
 
 
-@dataclass(frozen=True)
-class KnotVector:
-    """Uniform spline space on integer breakpoints 0..knots[-1].
-
-    Interior breakpoints carry multiplicity degree - continuity, the ends
-    are clamped (multiplicity degree + 1), so the basis is a full
-    partition of unity on [0, knots[-1]]."""
-
-    degree: int
-    knots: tuple
-
-    @property
-    def num_basis(self) -> int:
-        return len(self.knots) - self.degree - 1
+def _knots(degree: int, continuity: int, span_count: int) -> np.ndarray:
+    """Clamped uniform knots on the integer breakpoints 0..span_count:
+    interior breakpoints carry multiplicity degree - continuity, the ends
+    degree + 1, so the basis is a partition of unity on [0, span_count]."""
+    mult = np.full(span_count + 1, degree - continuity)
+    mult[[0, -1]] = degree + 1
+    return np.repeat(np.arange(span_count + 1.0), mult)
 
 
-def make_knot_vector(degree: int, continuity: int, num_spans: int) -> KnotVector:
-    if not 0 <= continuity < degree:
-        raise ValueError("need 0 <= continuity < degree")
-    mult = degree - continuity
-    knots = [0] * (degree + 1)
-    for b in range(1, num_spans):
-        knots.extend([b] * mult)
-    knots.extend([num_spans] * (degree + 1))
-    return KnotVector(degree, tuple(knots))
-
-
-def _find_spans(kv: KnotVector, x: np.ndarray) -> np.ndarray:
-    """Per point of x, the index s with knots[s] <= x < knots[s+1].  At
-    the clamped right end x = knots[-1], where no such s exists, the last
-    nonempty span, s = num_basis - 1."""
-    spans = np.searchsorted(kv.knots, x, side="right") - 1
-    return np.minimum(spans, kv.num_basis - 1)
-
-
-def _span_basis(kv: KnotVector, span: int, x: np.ndarray) -> np.ndarray:
+def _span_basis(knots: np.ndarray, degree: int, span: int,
+                x: np.ndarray) -> np.ndarray:
     """Values of the degree+1 basis functions that are nonzero on the span,
     at every point of x (all of them in that span): row k holds the values
     at x[k] for indices span-degree .. span.
@@ -87,8 +68,6 @@ def _span_basis(kv: KnotVector, span: int, x: np.ndarray) -> np.ndarray:
     Standard triangular Cox-de Boor scheme, run on all points at once.
     Each row goes through the operations of the scalar triangle, in its
     order, so a row is bit-identical to the scalar values at its point."""
-    degree = kv.degree
-    knots = np.asarray(kv.knots, dtype=float)
     x = x[:, None]
     left = x - knots[span:span - degree:-1]  # left[:, j-1] = x - t[span+1-j]
     right = knots[span + 1:span + degree + 1] - x  # right[:, j-1] = t[span+j] - x
@@ -104,13 +83,6 @@ def _span_basis(kv: KnotVector, span: int, x: np.ndarray) -> np.ndarray:
         values[:, 0] = 0.0
         values[:, :j] += right[:, :j] * tmp
     return values
-
-
-def exact_bspline_integral(kv: KnotVector, i: int) -> Fraction:
-    """Exact integral of the i-th basis function: (t_{i+D+1} - t_i) / (D + 1)."""
-    if not 0 <= i < kv.num_basis:
-        raise IndexError(f"basis index {i} out of range 0..{kv.num_basis - 1}")
-    return Fraction(kv.knots[i + kv.degree + 1] - kv.knots[i], kv.degree + 1)
 
 
 @dataclass(frozen=True)
@@ -130,42 +102,50 @@ def check_exactness(rule: ScaledRule, degree: int | None = None) -> ExactnessRep
     The tiled nodes are grouped by knot span, one ``searchsorted`` for
     all of them; per span, the basis values at its nodes come from one
     array Cox-de Boor triangle, and ``w * B`` is added into the per-basis
-    sums node by node, in node order, with ``np.add.at``.
+    sums node by node, in node order, with ``np.add.at``.  Basis i
+    integrates exactly to (t_{i+D+1} - t_i) / (D + 1): small integers
+    divided once, so the float is the correctly rounded exact value.
 
     The spline space has the rule's smoothness class and, by default,
     its exactness degree; passing degree = rule.degree + 1 provides the
-    negative control showing the rule is sharp.  Interior means the
-    basis support keeps a margin of one breakpoint from both ends of the
-    replicated span.
+    negative control showing the rule is sharp.  A degree not above the
+    smoothness class raises ValueError.  Interior means the basis support
+    keeps a margin of one breakpoint from both ends of the replicated
+    span.  The worst basis is the first of the largest errors; a NaN
+    error counts as the largest, so a NaN weight reports a NaN
+    ``max_abs_error``.
     """
     if degree is None:
         degree = rule.degree
+    continuity = rule.family.smoothness
+    if degree <= continuity:
+        raise ValueError(f"degree {degree} is not above the smoothness "
+                         f"class C{continuity}")
     span_count = COPIES * rule.period_intervals
-    kv = make_knot_vector(degree, rule.family.smoothness, span_count)
+    knots = _knots(degree, continuity, span_count)
+    num_basis = len(knots) - degree - 1
     x, w = (np.array(v, dtype=float)
             for v in zip(*replicate_periodically(rule, COPIES)))
-    spans = _find_spans(kv, x)
+    # the span s with knots[s] <= x < knots[s+1]; at the clamped right
+    # end, the last nonempty span
+    spans = np.minimum(np.searchsorted(knots, x, side="right") - 1,
+                       num_basis - 1)
     starts = np.flatnonzero(np.diff(spans, prepend=-1))  # x is sorted
-    sums = np.zeros(kv.num_basis)
+    sums = np.zeros(num_basis)
     for a, b in zip(starts, np.append(starts[1:], len(x))):
         span = int(spans[a])
-        terms = w[a:b, None] * _span_basis(kv, span, x[a:b])
+        terms = w[a:b, None] * _span_basis(knots, degree, span, x[a:b])
         basis = np.arange(span - degree, span + 1)
         np.add.at(sums, np.broadcast_to(basis, terms.shape), terms)
-    max_err = -1.0
-    worst = -1
-    tested = 0
-    for i, total in enumerate(sums.tolist()):
-        if kv.knots[i] < 1 or kv.knots[i + degree + 1] > span_count - 1:
-            continue
-        tested += 1
-        err = abs(total - float(exact_bspline_integral(kv, i)))
-        if err > max_err:
-            max_err, worst = err, i
+    first, last = knots[:num_basis], knots[degree + 1:]
+    tested = np.flatnonzero((first >= 1) & (last <= span_count - 1))
+    errors = np.abs(sums - (last - first) / (degree + 1))[tested]
+    worst = int(np.argmax(errors))
     return ExactnessReport(
         family=rule.family, n=rule.n, degree=degree,
-        max_abs_error=max_err, worst_basis_index=worst,
-        tested_basis_count=tested,
+        max_abs_error=float(errors[worst]),
+        worst_basis_index=int(tested[worst]),
+        tested_basis_count=len(tested),
     )
 
 
@@ -211,14 +191,13 @@ def load_golden_tables() -> dict:
 
 
 def compare_golden(rule: ScaledRule, golden: GoldenRule) -> float:
-    """Max positional deviation (nodes and weights) against a reference table."""
-    gen = [(x, w) for iv in rule.intervals for x, w in zip(iv.nodes, iv.weights)]
-    ref = golden.entries
+    """Max positional deviation (nodes and weights) against a reference
+    table; NaN if any node or weight is NaN."""
+    gen = [(float(x), float(w))
+           for iv in rule.intervals for x, w in zip(iv.nodes, iv.weights)]
+    ref = [(float(x), float(w)) for x, w in golden.entries]
     if len(gen) != len(ref):
         raise EntryCountMismatch(
             f"{golden.rule_id}: generated {len(gen)} entries, reference has {len(ref)}"
         )
-    dev = 0.0
-    for (x, w), (xs, ws) in zip(gen, ref):
-        dev = max(dev, abs(float(x) - float(xs)), abs(float(w) - float(ws)))
-    return dev
+    return float(np.abs(np.subtract(gen, ref)).max())

@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -141,6 +143,37 @@ class TestVerify:
                    "--exactness-tol", "1e-30"])
         assert rc == EXIT_FAIL
         assert "verification: FAIL" in capsys.readouterr().out
+
+    def test_nan_error_at_one_n_fails_and_names_it(self, monkeypatch, capsys):
+        # NaN compares false against the tolerance and against the worst
+        # so far: it must still fail the family and be the worst n
+        monkeypatch.setattr(cli, "check_exactness", lambda rule: SimpleNamespace(
+            max_abs_error=math.nan if rule.n == 5 else 1e-16))
+        rc = main(["verify", "--scope", "exactness", "--max-n", "8"])
+        out = capsys.readouterr().out
+        assert rc == EXIT_FAIL
+        lines = [line for line in out.splitlines() if "exactness " in line]
+        assert len(lines) == 5
+        assert all("worst n= 5  max err       nan  FAIL" in line for line in lines)
+        assert "verification: FAIL" in out
+
+    def test_nan_error_at_every_n_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "check_exactness", lambda rule: SimpleNamespace(
+            max_abs_error=math.nan))
+        rc = main(["verify", "--scope", "exactness", "--max-n", "4"])
+        out = capsys.readouterr().out
+        assert rc == EXIT_FAIL
+        assert "exactness C1_EVEN            worst n= 2  max err       nan  FAIL" in out
+
+    def test_nan_golden_deviation_is_the_worst(self, monkeypatch, capsys):
+        compare = cli.compare_golden
+        monkeypatch.setattr(cli, "compare_golden", lambda rule, golden: (
+            math.nan if golden.rule_id == "C1xD8" else compare(rule, golden)))
+        rc = main(["verify", "--scope", "golden"])
+        out = capsys.readouterr().out
+        assert rc == EXIT_FAIL
+        assert "golden C1xD8       max dev       nan  FAIL" in out
+        assert "golden worst: C1xD8 at nan (tol 1e-13)" in out
 
 
 class TestPlot:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction
@@ -14,51 +15,66 @@ from splinequad.catalog import rule_id
 from splinequad.families import Family
 from splinequad.splinecheck import (
     EntryCountMismatch,
-    _find_spans,
+    _knots,
     _span_basis,
     check_exactness,
     compare_golden,
-    exact_bspline_integral,
     load_golden_tables,
-    make_knot_vector,
 )
 
 from conftest import cached_rule
 
 
+def _with_first(rule, field, value):
+    """The rule with its first node (field "nodes") or weight ("weights")
+    replaced by value."""
+    first, *rest = rule.intervals
+    first = replace(first, **{field: (value, *getattr(first, field)[1:])})
+    return replace(rule, intervals=(first, *rest))
+
+
 class TestKnotVector:
     def test_clamped_uniform_structure(self):
-        kv = make_knot_vector(degree=3, continuity=1, num_spans=4)
-        assert kv.knots == (0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 4, 4)
-        assert kv.num_basis == 10
+        knots = _knots(degree=3, continuity=1, span_count=4)
+        assert knots.tolist() == [0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 4, 4]
+        assert len(knots) - 3 - 1 == 10  # basis functions
 
     def test_smooth_case_single_multiplicity(self):
-        kv = make_knot_vector(degree=2, continuity=1, num_spans=3)
-        assert kv.knots == (0, 0, 0, 1, 2, 3, 3, 3)
-        assert kv.num_basis == 5
+        knots = _knots(degree=2, continuity=1, span_count=3)
+        assert knots.tolist() == [0, 0, 0, 1, 2, 3, 3, 3]
+        assert len(knots) - 2 - 1 == 5
 
     def test_rejects_bad_continuity(self):
-        with pytest.raises(ValueError):
-            make_knot_vector(2, 2, 4)
-        with pytest.raises(ValueError):
-            make_knot_vector(2, -1, 4)
+        # the spline space needs degree > continuity: a C1 rule has no
+        # space at degree 0 or 1
+        rule = cached_rule(Family.C1_ODD_ENDPOINT, 2)
+        for degree in (0, 1):
+            with pytest.raises(ValueError, match=f"degree {degree} is not above"):
+                check_exactness(rule, degree=degree)
+        assert check_exactness(rule, degree=2).tested_basis_count > 0
 
 
-def _span_values(kv, x):
+def _spans(knots, degree, x):
+    """Reference: per point, the index s with knots[s] <= x < knots[s+1],
+    and at the clamped right end the last nonempty span."""
+    num_basis = len(knots) - degree - 1
+    return [min(bisect_right(knots, v) - 1, num_basis - 1) for v in x]
+
+
+def _span_values(knots, degree, x):
     """The span index at x and the basis values nonzero on it, as the
     oracle computes them."""
-    span = int(_find_spans(kv, np.array([x]))[0])
-    return span, list(_span_basis(kv, span, np.array([x]))[0])
+    span = _spans(knots.tolist(), degree, [x])[0]
+    return span, list(_span_basis(knots, degree, span, np.array([x]))[0])
 
 
-def _scalar_basis(kv, span, x):
+def _scalar_basis(knots, degree, span, x):
     """Reference: the per-point triangular Cox-de Boor scheme, values for
     indices span-degree .. span."""
-    knots = kv.knots
     values = [1.0]
     left = []
     right = []
-    for j in range(1, kv.degree + 1):
+    for j in range(1, degree + 1):
         left.append(x - knots[span + 1 - j])
         right.append(knots[span + j] - x)
         saved = 0.0
@@ -77,87 +93,94 @@ class TestEvalBspline:
     the degree + 1 values nonzero on it at each point of the span."""
 
     def test_hat_function(self):
-        kv = make_knot_vector(degree=1, continuity=0, num_spans=3)
-        assert _find_spans(kv, np.array([0.5, 1.0, 1.5, 2.5])).tolist() == [
+        knots = _knots(degree=1, continuity=0, span_count=3)
+        assert _spans(knots.tolist(), 1, [0.5, 1.0, 1.5, 2.5]) == [
             1, 2, 2, 3]  # hat 1 ends at 2
-        assert _span_values(kv, 0.5) == (1, pytest.approx([0.5, 0.5]))
-        assert _span_values(kv, 1.0) == (2, pytest.approx([1.0, 0.0]))
-        assert _span_values(kv, 1.5) == (2, pytest.approx([0.5, 0.5]))
+        assert _span_values(knots, 1, 0.5) == (1, pytest.approx([0.5, 0.5]))
+        assert _span_values(knots, 1, 1.0) == (2, pytest.approx([1.0, 0.0]))
+        assert _span_values(knots, 1, 1.5) == (2, pytest.approx([0.5, 0.5]))
         # both points of span 2 in one array, rows in point order
-        assert _span_basis(kv, 2, np.array([1.0, 1.5])).tolist() == [
+        assert _span_basis(knots, 1, 2, np.array([1.0, 1.5])).tolist() == [
             [1.0, 0.0], [0.5, 0.5]]
 
     def test_uniform_quadratic_peak(self):
-        kv = make_knot_vector(degree=2, continuity=1, num_spans=4)
+        knots = _knots(degree=2, continuity=1, span_count=4)
         # span [1, 2]: the full-support interior basis 2 on breakpoints
         # 0..3 peaks at 3/4, its neighbours carry 1/8 each
-        assert _span_values(kv, 1.5) == (3, pytest.approx([0.125, 0.75, 0.125]))
+        assert _span_values(knots, 2, 1.5) == (
+            3, pytest.approx([0.125, 0.75, 0.125]))
 
     def test_partition_of_unity(self):
         for degree, continuity in ((3, 0), (5, 1), (7, 1)):
-            kv = make_knot_vector(degree, continuity, 5)
+            knots = _knots(degree, continuity, 5)
             x = np.linspace(0, 5, 41)
-            spans = _find_spans(kv, x)
-            assert all(degree <= s < kv.num_basis for s in spans)
+            spans = np.array(_spans(knots.tolist(), degree, x.tolist()))
+            assert all(degree <= s < len(knots) - degree - 1 for s in spans)
             for span in set(spans.tolist()):
-                values = _span_basis(kv, span, x[spans == span])
+                values = _span_basis(knots, degree, span, x[spans == span])
                 assert values.shape == ((spans == span).sum(), degree + 1)
                 assert values.sum(axis=1) == pytest.approx(1.0, abs=1e-12)
 
     def test_right_endpoint(self):
-        num_spans = 4
-        kv = make_knot_vector(3, 1, num_spans)
-        span, values = _span_values(kv, float(num_spans))
-        assert span == kv.num_basis - 1
+        span_count = 4
+        knots = _knots(3, 1, span_count)
+        span, values = _span_values(knots, 3, float(span_count))
+        num_basis = len(knots) - 3 - 1
+        assert span == num_basis - 1
         assert values[-1] == pytest.approx(1.0)
 
     def test_bit_identical_to_the_scalar_triangle(self):
-        # the array rows against the per-point scheme they replace, and the
-        # spans against bisect_right clamped to the last nonempty span; the
+        # the array rows against the per-point scheme they replace; the
         # smoother spaces give Cox-de Boor denominators other than 1 and 2
         rng = np.random.default_rng(7)
         for degree, continuity in ((1, 0), (4, 0), (9, 1), (33, 1), (100, 0),
                                    (6, 4), (8, 7)):
-            kv = make_knot_vector(degree, continuity, 7)
+            knots = _knots(degree, continuity, 7)
             x = np.concatenate((np.arange(8.0), rng.uniform(0, 7, 200)))
-            spans = _find_spans(kv, x)
-            assert spans.tolist() == [
-                min(bisect_right(kv.knots, v) - 1, kv.num_basis - 1) for v in x]
+            spans = np.array(_spans(knots.tolist(), degree, x.tolist()))
             for span in set(spans.tolist()):
                 at = x[spans == span]
-                rows = _span_basis(kv, span, at).tolist()
-                assert rows == [_scalar_basis(kv, span, v) for v in at.tolist()]
+                rows = _span_basis(knots, degree, span, at).tolist()
+                assert rows == [_scalar_basis(knots.tolist(), degree, span, v)
+                                for v in at.tolist()]
 
 
 class TestExactIntegral:
     def test_interior_hat(self):
-        kv = make_knot_vector(1, 0, 4)
-        assert exact_bspline_integral(kv, 2) == Fraction(1)
+        # with every weight 0, each error is the basis integral itself:
+        # every interior hat integrates to 1, the first is basis 2
+        rule = cached_rule(Family.C0_ODD, 1)
+        zero = replace(rule, intervals=tuple(
+            replace(iv, weights=(0.0,) * len(iv.weights))
+            for iv in rule.intervals))
+        report = check_exactness(zero, degree=1)
+        assert report.max_abs_error == 1.0
+        assert report.worst_basis_index == 2
 
-    def test_returns_fraction_and_sums_to_span(self):
-        kv = make_knot_vector(5, 1, 6)
-        total = sum(exact_bspline_integral(kv, i) for i in range(kv.num_basis))
-        assert isinstance(total, Fraction)
-        assert total == 6  # integrals of a partition of unity over [0, 6]
+    def test_sums_to_span(self):
+        # the knot-difference integrals the oracle divides in float are the
+        # exact ones rounded, and they sum to exactly the span count
+        for degree, continuity in ((1, 0), (5, 1), (8, 7), (100, 0), (201, 1)):
+            knots = _knots(degree, continuity, 6)
+            num_basis = len(knots) - degree - 1
+            exact = [Fraction(int(knots[i + degree + 1] - knots[i]), degree + 1)
+                     for i in range(num_basis)]
+            assert sum(exact) == 6  # integrals of a partition of unity
+            integrals = (knots[degree + 1:] - knots[:num_basis]) / (degree + 1)
+            assert integrals.tolist() == [float(f) for f in exact]
 
     def test_matches_quadrature_of_bspline(self):
-        kv = make_knot_vector(3, 1, 6)
+        knots = _knots(3, 1, 6)
         rule = cached_rule(Family.C1_ODD_ENDPOINT, 1)
-        i = kv.num_basis // 2
+        i = (len(knots) - 3 - 1) // 2
         total = 0.0
         for k in range(6):
             for iv in rule.intervals:
                 for x, w in zip(iv.nodes, iv.weights):
-                    span, values = _span_values(kv, float(x) + k)
-                    if span - kv.degree <= i <= span:
-                        total += float(w) * values[i - span + kv.degree]
-        assert total == pytest.approx(float(exact_bspline_integral(kv, i)),
-                                      abs=1e-13)
-
-    def test_index_out_of_range(self):
-        kv = make_knot_vector(2, 1, 3)
-        with pytest.raises(IndexError):
-            exact_bspline_integral(kv, kv.num_basis)
+                    span, values = _span_values(knots, 3, float(x) + k)
+                    if span - 3 <= i <= span:
+                        total += float(w) * values[i - span + 3]
+        assert total == pytest.approx((knots[i + 4] - knots[i]) / 4, abs=1e-13)
 
 
 class TestCheckExactness:
@@ -193,6 +216,16 @@ class TestCheckExactness:
                 ))
         assert hashlib.sha256(repr(reports).encode()).hexdigest() == (
             "026d8baae971a5de5ab66f361aaddeb99ef18b9f9f3434a423cb1b2b0ba43dba")
+
+    def test_nan_weight_reports_nan(self):
+        # a NaN sum is the largest error, never skipped
+        rule = _with_first(cached_rule(Family.C0_ODD, 3), "weights", math.nan)
+        report = check_exactness(rule)
+        assert np.isnan(report.max_abs_error)
+        assert report.tested_basis_count > 0
+        # a NaN node falls in no interior span: its weight goes missing
+        rule = _with_first(cached_rule(Family.C0_ODD, 3), "nodes", math.nan)
+        assert check_exactness(rule).max_abs_error > 0.1
 
     def test_negative_control_one_degree_up(self):
         rule = cached_rule(Family.C0_ODD, 3)
@@ -249,6 +282,12 @@ class TestGolden:
         truncated = replace(g, intervals=g.intervals[:1])
         with pytest.raises(EntryCountMismatch):
             compare_golden(cached_rule(g.family, g.n), truncated)
+
+    @pytest.mark.parametrize("field", ["weights", "nodes"])
+    def test_nan_entry_reports_nan(self, field):
+        g = load_golden_tables()["C0xD5"]
+        rule = _with_first(cached_rule(g.family, g.n), field, math.nan)
+        assert np.isnan(compare_golden(rule, g))
 
     def test_deviation_detects_perturbation(self):
         g = load_golden_tables()["C1xD5"]
