@@ -65,6 +65,9 @@ class ReferenceRule:
 
 @dataclass(frozen=True)
 class ScaledRule:
+    """The rule on [0, period_intervals]: interval k holds its nodes
+    ascending in the unit cell [k, k+1], each with its weight."""
+
     family: Family
     n: int
     degree: int
@@ -177,8 +180,8 @@ def assemble(spec: FamilySpec, extended: bool = False) -> ReferenceRule:
     number type here.  Fixed endpoint nodes keep their
     closed-form weights and are listed first (they sit at the interval's
     left end).  For the reflected second interval of the C1 even family,
-    the first interval's free nodes are negated and re-sorted with their
-    weights carried along.
+    the first interval's free nodes are negated and, with their weights,
+    listed in reverse, so they ascend again.
     """
     real = _mpf if extended else float
     intervals = []
@@ -198,9 +201,9 @@ def assemble(spec: FamilySpec, extended: bool = False) -> ReferenceRule:
     if spec.second_interval_by_reflection:
         skip = 0 if spec.intervals[0].fixed_node is None else 1
         first = intervals[0]
-        pairs = sorted((-x, w) for x, w in zip(first.nodes[skip:], first.weights[skip:]))
-        intervals.append(RuleInterval(
-            tuple(x for x, _ in pairs), tuple(w for _, w in pairs)))
+        # negated, the ascending free nodes descend: reversed, they ascend
+        intervals.append(RuleInterval(tuple(-x for x in first.nodes[skip:][::-1]),
+                                      first.weights[skip:][::-1]))
     return ReferenceRule(
         family=spec.id, n=spec.n, degree=spec.id.degree(spec.n),
         intervals=tuple(intervals), delta=real(spec.delta),

@@ -150,5 +150,7 @@ def isolate_and_refine(p: GegenbauerCombo, expected_count: int) -> RootSet:
             f"expected {expected_count} roots in [-1, 1], "
             f"isolated {len(brackets)}"
         )
-    found = sorted((refine_root(pf, start, ends), b) for b, start, ends in brackets)
-    return RootSet(roots=tuple(x for x, _ in found), brackets=tuple(b for _, b in found))
+    # the scan yields ascending brackets that meet at most at an end, so the
+    # roots ascend too
+    return RootSet(roots=tuple(refine_root(pf, start, ends) for _, start, ends in brackets),
+                   brackets=tuple(b for b, _, _ in brackets))

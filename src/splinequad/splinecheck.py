@@ -9,25 +9,28 @@ code:
   rule's family) and compare the quadrature of every interior basis
   function with the exact knot-difference integral
   (t_{i+D+1} - t_i) / (D + 1), all of them in one array expression.
-  The basis is evaluated one way, one knot span at a time: the tiled
-  nodes are sorted, so the nodes in a span form one run, and the
-  Cox-de Boor triangle runs on an array of that run, giving the D + 1
-  basis values nonzero on the span at each of its nodes.  The weighted
-  values are added per basis function in node order, so every sum is,
-  to the bit, the one a loop over the nodes would make.  Only one span's
-  nodes are held at a time: the arrays stay m x (D + 1) for the m nodes
-  of a span;
+  The tiling is a loop over the unit cells [t, t+1] of the replicated
+  span: a scaled rule holds interval k's nodes ascending in [k, k+1], so
+  cell t holds interval t mod P's nodes, shifted by t - (t mod P), and
+  its knot span is the last knot equal to t, D + t (D - c), with no
+  search.  The Cox-de Boor triangle runs on the array of a cell's
+  nodes, giving the D + 1 basis values nonzero on the span at each of
+  them.  The weighted values are added per basis function, cells
+  ascending and nodes ascending within a cell, so every sum is, to the
+  bit, the one a loop over the sorted tiled nodes would make (no rule
+  has a node on the right end k+1 of its cell).  Only one cell's nodes
+  are held at a time: the arrays stay m x (D + 1) for the m nodes of an
+  interval;
 * golden regression - positional comparison against the checked-in
   25-digit reference tables.
 
-Both checks fail closed.  A NaN weight gives a NaN error in both, never a
-smaller one, and so does a NaN node in the golden comparison; in the
-exactness check a NaN node lands in no interior span, so its weight is
-missing from the sums and the error is of the size of that weight.
-Boundary-truncated basis functions are excluded from the
-exactness check: the rules are built for the unbounded periodic line, so
-splines cut off by the ends of the replicated span are legitimately
-missed.
+Both checks fail closed: a NaN weight or node gives a NaN error in
+both, never a smaller one.  The exactness check also evaluates a node
+that lies outside its interval's cell [k, k+1] as NaN, rather than in a
+neighbouring span.  Boundary-truncated basis functions are excluded from
+the exactness check: the rules are built for the unbounded periodic
+line, so splines cut off by the ends of the replicated span are
+legitimately missed.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from importlib import resources
 
 import numpy as np
 
-from .assembly import ScaledRule, replicate_periodically
+from .assembly import ScaledRule
 from .catalog import family_for, rule_id
 from .families import Family
 
@@ -99,10 +102,13 @@ def check_exactness(rule: ScaledRule, degree: int | None = None) -> ExactnessRep
     """Quadrature error of the rule tiled over ``COPIES`` periods, over
     every interior B-spline.
 
-    The tiled nodes are grouped by knot span, one ``searchsorted`` for
-    all of them; per span, the basis values at its nodes come from one
-    array Cox-de Boor triangle, and ``w * B`` is added into the per-basis
-    sums node by node, in node order, with ``np.add.at``.  Basis i
+    One pass over the ``COPIES * P`` unit cells of the P-interval rule:
+    cell t takes interval t mod P's nodes, shifted into [t, t+1], and
+    its knot span D + t (D - c); the basis values at those nodes come
+    from one array Cox-de Boor triangle, and ``w * B`` is added into the
+    per-basis sums node by node, in node order, with ``np.add.at``.
+    A node that is NaN or outside its interval's cell [k, k+1] is
+    evaluated as NaN.  Basis i
     integrates exactly to (t_{i+D+1} - t_i) / (D + 1): small integers
     divided once, so the float is the correctly rounded exact value.
 
@@ -112,8 +118,8 @@ def check_exactness(rule: ScaledRule, degree: int | None = None) -> ExactnessRep
     smoothness class raises ValueError.  Interior means the basis support
     keeps a margin of one breakpoint from both ends of the replicated
     span.  The worst basis is the first of the largest errors; a NaN
-    error counts as the largest, so a NaN weight reports a NaN
-    ``max_abs_error``.
+    error counts as the largest, so a NaN weight, a NaN node or a node
+    outside its cell reports a NaN ``max_abs_error``.
     """
     if degree is None:
         degree = rule.degree
@@ -124,17 +130,14 @@ def check_exactness(rule: ScaledRule, degree: int | None = None) -> ExactnessRep
     span_count = COPIES * rule.period_intervals
     knots = _knots(degree, continuity, span_count)
     num_basis = len(knots) - degree - 1
-    x, w = (np.array(v, dtype=float)
-            for v in zip(*replicate_periodically(rule, COPIES)))
-    # the span s with knots[s] <= x < knots[s+1]; at the clamped right
-    # end, the last nonempty span
-    spans = np.minimum(np.searchsorted(knots, x, side="right") - 1,
-                       num_basis - 1)
-    starts = np.flatnonzero(np.diff(spans, prepend=-1))  # x is sorted
+    cells = [(k, np.array(iv.nodes, dtype=float), np.array(iv.weights, dtype=float)[:, None])
+             for k, iv in enumerate(rule.intervals)]
+    for k, x, _ in cells:
+        x[~((x >= k) & (x <= k + 1))] = np.nan  # a NaN node, or one outside [k, k + 1]
     sums = np.zeros(num_basis)
-    for a, b in zip(starts, np.append(starts[1:], len(x))):
-        span = int(spans[a])
-        terms = w[a:b, None] * _span_basis(knots, degree, span, x[a:b])
+    for t, (k, x, w) in enumerate(cells * COPIES):  # unit cell t is [t, t + 1]
+        span = degree + t * (degree - continuity)  # the last knot equal to t
+        terms = w * _span_basis(knots, degree, span, x + (t - k))
         basis = np.arange(span - degree, span + 1)
         np.add.at(sums, np.broadcast_to(basis, terms.shape), terms)
     first, last = knots[:num_basis], knots[degree + 1:]

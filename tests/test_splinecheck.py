@@ -44,6 +44,21 @@ class TestKnotVector:
         assert knots.tolist() == [0, 0, 0, 1, 2, 3, 3, 3]
         assert len(knots) - 2 - 1 == 5
 
+    def test_span_of_each_cell(self):
+        # the span check_exactness takes for unit cell t, D + t * (D - c),
+        # is the last knot equal to t, followed by t + 1: the span a search
+        # gives for every x in [t, t + 1)
+        for degree in [*range(1, 13), 51, 201]:
+            for continuity in (0, 1):
+                if continuity >= degree:
+                    continue
+                for span_count in (6, 12):
+                    knots = _knots(degree, continuity, span_count).tolist()
+                    for t in range(span_count):
+                        span = degree + t * (degree - continuity)
+                        assert knots[span] == t and knots[span + 1] == t + 1
+                        assert _spans(knots, degree, [t, t + 0.5]) == [span] * 2
+
     def test_rejects_bad_continuity(self):
         # the spline space needs degree > continuity: a C1 rule has no
         # space at degree 0 or 1
@@ -218,14 +233,24 @@ class TestCheckExactness:
             "026d8baae971a5de5ab66f361aaddeb99ef18b9f9f3434a423cb1b2b0ba43dba")
 
     def test_nan_weight_reports_nan(self):
-        # a NaN sum is the largest error, never skipped
-        rule = _with_first(cached_rule(Family.C0_ODD, 3), "weights", math.nan)
-        report = check_exactness(rule)
-        assert np.isnan(report.max_abs_error)
-        assert report.tested_basis_count > 0
-        # a NaN node falls in no interior span: its weight goes missing
-        rule = _with_first(cached_rule(Family.C0_ODD, 3), "nodes", math.nan)
-        assert check_exactness(rule).max_abs_error > 0.1
+        # a NaN sum is the largest error, never skipped; a NaN node is
+        # evaluated as NaN, not dropped from the sums
+        for family in Family:
+            for field in ("weights", "nodes"):
+                rule = _with_first(cached_rule(family, 3), field, math.nan)
+                report = check_exactness(rule)
+                assert np.isnan(report.max_abs_error), (family, field)
+                assert report.tested_basis_count > 0
+
+    def test_node_outside_its_cell_reports_nan(self):
+        # interval 0 lies in [0, 1]: a node at -0.25 is not evaluated in a
+        # neighbouring span but reported as NaN; the cell is closed, so a
+        # node on its right end is evaluated
+        for family in Family:
+            rule = _with_first(cached_rule(family, 3), "nodes", -0.25)
+            assert np.isnan(check_exactness(rule).max_abs_error), family
+            rule = _with_first(cached_rule(family, 3), "nodes", 1.0)
+            assert np.isfinite(check_exactness(rule).max_abs_error), family
 
     def test_negative_control_one_degree_up(self):
         rule = cached_rule(Family.C0_ODD, 3)
