@@ -135,13 +135,14 @@ def polish(r: GegenbauerCombo, x, found: RootSet, tol):
 def _free(iv, extended: bool) -> tuple:
     """Free nodes and weights of one interval.
 
-    The roots are isolated and refined in double, then polished by one
-    double-double Newton step.  For extended, the nodes are lifted into
-    mpf and Newton continues there with guard digits; this is the stage's
-    one precision branch.  The weight A / (R'(x) S(x) f(x)) is
-    so sensitive to x near +-1 that even the double root (within about an
-    ulp, 1.3e-16 at most for n <= 200) changes it by up to 1.3e-9
-    relative at n = 80 and 1.9e-7 at n = 200, and S cancels there too.  So
+    The roots are found in double, as the eigenvalues of R's Jacobi
+    matrix refined by Newton, then polished by one double-double Newton
+    step.  For extended, the nodes are lifted into mpf and Newton
+    continues there with guard digits; this is the stage's one precision
+    branch.  The weight A / (R'(x) S(x) f(x)) is so sensitive to x near
+    +-1 that even the double root (within about an ulp, 1.3e-16 at most
+    for n <= 200) changes it by up to 1.3e-9 relative at n = 80 and
+    1.9e-7 at n = 200, and S cancels there too.  So
     R' and S are evaluated at the polished nodes in the same arithmetic,
     both from one recurrence, and each node and weight is rounded once,
     at the end.

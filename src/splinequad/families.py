@@ -67,6 +67,11 @@ def c1_even_factor(x):
     return (1 + x) * ((1 - x) * (1 - x))
 
 
+def is_integer(value) -> bool:
+    """Whether value is an integer: an Integral other than a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 class Family(enum.Enum):
     """The five valid (smoothness, parity, variant) combinations."""
 
@@ -106,8 +111,8 @@ class Family(enum.Enum):
 
     def check_n(self, n: int):
         """Raise a ValueError naming the family and n unless n is an
-        integer in min_n..MAX_N."""
-        if not (isinstance(n, numbers.Integral) and self.min_n <= n <= MAX_N):
+        integer (not a bool) in min_n..MAX_N."""
+        if not (is_integer(n) and self.min_n <= n <= MAX_N):
             raise ValueError(f"{self.name} n={n!r}: n must be an integer "
                              f"in {self.min_n}..{MAX_N}")
 

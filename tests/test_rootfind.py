@@ -12,7 +12,6 @@ from splinequad.gegenbauer import GegenbauerCombo, eval_combo
 from splinequad.rootfind import (
     REFINE_TOL,
     CountMismatch,
-    NoSignChange,
     RootSet,
     isolate_and_refine,
     refine_root,
@@ -44,40 +43,54 @@ def _polish(combo, roots, brackets, extended):
         return [mpmath.mpf(h) + lo for h, lo in zip(x.hi, x.lo)]
 
 
-def _refine(combo, bracket):
-    """refine_root with the combo's values at the bracket ends, which the
-    scan passes in."""
-    return refine_root(combo, bracket, [eval_combo(combo, x)[0] for x in bracket])
+def _refine(combo, start, bracket):
+    """refine_root from start with the combo's values at the bracket
+    ends, which isolate_and_refine passes in."""
+    return refine_root(combo, start, bracket, [eval_combo(combo, x)[0] for x in bracket])
+
+
+def _newton_step_60(combo, roots):
+    """One Newton step of combo from each root, at 60 digits."""
+    with mpmath.workdps(60):
+        x = np.array([mpmath.mpf(r) for r in roots], dtype=object)
+        f, df = eval_combo(combo, x)
+        return x - f / df
 
 
 class TestRefineRoot:
     def test_linear(self):
-        assert _refine(LINEAR, (-0.4, 0.9)) == pytest.approx(0.0, abs=1e-15)
+        assert _refine(LINEAR, 0.5, (-0.4, 0.9)) == pytest.approx(0.0, abs=1e-15)
 
     def test_shifted_linear(self):
-        root = _refine(SHIFTED, (-1.0, 0.0))
+        root = _refine(SHIFTED, -0.9, (-1.0, 0.0))
         assert root == pytest.approx(-0.5773502691896258, abs=1e-15)
 
     def test_order_five_halves_quadratic(self):
-        root = _refine(ORDER52_QUAD, (0.0, 1.0))
+        root = _refine(ORDER52_QUAD, 0.9, (0.0, 1.0))
         assert root == pytest.approx(0.3779644730092272, abs=1e-15)
 
-    def test_no_sign_change_raises(self):
-        with pytest.raises(NoSignChange):
-            _refine(LINEAR, (0.5, 1.0))
-
-    def test_bracket_endpoint_already_root(self):
-        assert _refine(LINEAR, (0.0, 1.0)) == 0.0
-        assert _refine(LINEAR, (-1.0, 0.0)) == 0.0
-
     def test_deterministic(self):
-        a = _refine(QUADRATIC, (0.1, 1.0))
-        b = _refine(QUADRATIC, (0.1, 1.0))
+        a = _refine(QUADRATIC, 0.3, (0.1, 1.0))
+        b = _refine(QUADRATIC, 0.3, (0.1, 1.0))
         assert a == b  # bit-identical
 
+    def test_one_evaluation_from_the_eigenvalue(self, monkeypatch):
+        # the eigenvalue is within a few ulps of the root, so the first
+        # Newton step is below REFINE_TOL and ends the refinement
+        calls = []
+
+        def counting(p, x):
+            calls.append(x)
+            return eval_combo(p, x)
+
+        monkeypatch.setattr(rootfind, "eval_combo", counting)
+        assert _refine(QUADRATIC, 0.7071067811865477, (0.0, 1.0)) == pytest.approx(
+            0.7071067811865476, abs=1e-16)
+        assert calls == [0.7071067811865477]
+
     def test_evaluates_only_inside_the_brackets(self, monkeypatch):
-        # the values at the bracket ends come from the scan, so no scalar
-        # evaluation of the refinement lands on a bracket end
+        # the values at the bracket ends come from one array evaluation,
+        # so no scalar evaluation of the refinement lands on a bracket end
         scalars = []
 
         def recording(p, x):
@@ -116,36 +129,57 @@ class TestIsolateAndRefine:
         rs = isolate_and_refine(combo, expected_count=50)
         assert len(rs.roots) == 50
 
+    @pytest.mark.parametrize("n", [50, 100, 150, MAX_N])
+    def test_roots_match_60_digit_newton(self, n):
+        # every interval of every family: one 60-digit Newton step moves no
+        # double root by more than 2.3e-16 and stays in its bracket.  Newton
+        # squares the error times K = |R''/2R'| <= assembly._K_BOUND
+        # (test_assembly's curvature test), so the stepped point is within
+        # 1e-26 of R's root, and each double root within 2.3e-16 of it
+        # (measured: 8e-17; the eigenvalues alone are within 2e-15)
+        for family in Family:
+            for iv in build_family(family, n).intervals:
+                rs = isolate_and_refine(iv.r, iv.expected_free_nodes)
+                assert len(rs.roots) == iv.expected_free_nodes, family
+                exact = _newton_step_60(iv.r, rs.roots)
+                for x, y, (lo, hi) in zip(rs.roots, exact, rs.brackets):
+                    assert abs(x - y) <= 2.3e-16, (family, x)
+                    assert lo < y < hi, (family, x)
+
     def test_count_mismatch_negative_delta(self):
         spec = build_family(Family.C1_ODD_INTERIOR, 2, delta_sign=-1)
         iv = spec.intervals[0]
         with pytest.raises(CountMismatch):
             isolate_and_refine(iv.r, expected_count=iv.expected_free_nodes)
 
-    def test_one_scan_before_a_count_mismatch(self, monkeypatch):
-        # the rejected delta branch raises after one scan, not a denser retry
-        scans = []
-        scan = rootfind._scan
+    def test_count_mismatch_modified_beta_not_positive(self):
+        # 7.5x^2 + 8.5 has no real root: beta_2 - gamma'' = 0.2 - 4/3
+        with pytest.raises(CountMismatch, match=r"modified beta -1\.13.* <= 0"):
+            isolate_and_refine(GegenbauerCombo.build(1.5, [(2, 1), (0, 10)]), 2)
 
-        def counting(p, grid):
-            scans.append(len(grid))
-            return scan(p, grid)
+    def test_count_mismatch_eigenvalue_outside(self):
+        # 3x - 3.3 has its root at 1.1; 3x + 3 and 3x - 3 at -1 and +1,
+        # which are not inside (-1, 1) either
+        for combo in (GegenbauerCombo.build(1.5, [(1, 1), (0, -3.3)]),
+                      AT_MINUS_ONE, AT_PLUS_ONE):
+            with pytest.raises(CountMismatch, match="sign"):
+                isolate_and_refine(combo, 1)
 
-        monkeypatch.setattr(rootfind, "_scan", counting)
-        iv = build_family(Family.C1_ODD_INTERIOR, 5, delta_sign=-1).intervals[0]
-        with pytest.raises(CountMismatch):
-            isolate_and_refine(iv.r, iv.expected_free_nodes)
-        assert scans == [max(64, 8 * iv.expected_free_nodes)]
+    def test_count_mismatch_degree(self):
+        for count in (1, 3):
+            with pytest.raises(CountMismatch, match="degree 2"):
+                isolate_and_refine(QUADRATIC, count)
 
-    @pytest.mark.parametrize("n", [50, 100, 150, MAX_N])
-    def test_half_density_scan_finds_every_root(self, n):
-        # the margin behind the single scan: every family's intervals keep
-        # their full root count at half the scan density
-        for family in Family:
-            for iv in build_family(family, n).intervals:
-                count = iv.expected_free_nodes
-                grid = rootfind._chebyshev_grid(max(32, 4 * count))
-                assert len(rootfind._scan(iv.r.map(float), grid)) == count, family
+    @pytest.mark.parametrize("terms", [
+        [(3, 1), (2, 1), (1, 1)],       # three terms
+        [(3, 1), (0, 1)],               # a second term of degree m - 3
+        [(2, (0, 1, 0))],               # an x coefficient
+        [(2, 1), (0, (1, 0, 1))],       # an x^2 coefficient
+        [(2, 0), (1, 1)],               # a zero leading coefficient
+    ])
+    def test_combo_outside_the_two_forms(self, terms):
+        with pytest.raises(ValueError, match="not a C_m"):
+            isolate_and_refine(GegenbauerCombo.build(1.5, terms), 2)
 
     def test_empty_combo_rejected(self):
         with pytest.raises(ValueError):
@@ -165,32 +199,6 @@ class TestIsolateAndRefine:
             target = 1 / mpmath.sqrt(2)
             assert abs(roots[1] - target) < mpmath.mpf(10) ** -45
             assert isinstance(roots[1], mpmath.mpf)
-
-    @pytest.mark.parametrize("extended", [False, True])
-    def test_exact_zero_on_the_grid(self, extended):
-        # the grid starts at -1.0 exactly, where 3x + 3 vanishes, and ends
-        # at +1.0, where 3x - 3 does; the root gets a bracket and the
-        # polish leaves it exact
-        for combo, root in ((AT_MINUS_ONE, -1), (AT_PLUS_ONE, 1)):
-            rs = isolate_and_refine(combo, expected_count=1)
-            assert rs.roots == (root,)
-            lo, hi = rs.brackets[0]
-            assert lo <= root <= hi and lo < hi
-            assert _polish(combo, rs.roots, rs.brackets, extended) == [root]
-        # an interior grid point g, where 3x - 3g vanishes in double: the
-        # double root is g itself, its bracket spans both neighbours, and
-        # the polish reaches the exact root fl(3g)/3 of the combo
-        for i in (1, 20, 31, 62):
-            g = rootfind._chebyshev_grid(64)[i]  # the scan grid for one root
-            combo = GegenbauerCombo.build(1.5, [(1, 1), (0, -3 * g)])
-            assert eval_combo(combo, g)[0] == 0
-            rs = isolate_and_refine(combo, expected_count=1)
-            assert rs.roots == (g,), i
-            lo, hi = rs.brackets[0]
-            assert lo < g < hi
-            x, = _polish(combo, rs.roots, rs.brackets, extended)
-            with mpmath.workdps(50):
-                assert abs(x - mpmath.mpf(3 * g) / 3) < (1e-48 if extended else 1e-31)
 
 
 class TestPolishRoot:

@@ -68,6 +68,15 @@ class TestKnotVector:
                 check_exactness(rule, degree=degree)
         assert check_exactness(rule, degree=2).tested_basis_count > 0
 
+    @pytest.mark.parametrize("degree", [2.5, 5.0, True, False, "5"])
+    def test_rejects_non_integer_degree(self, degree):
+        # a float degree used to fail inside numpy, and True ran the
+        # oracle at degree 1 and reported degree=True
+        rule = cached_rule(Family.C1_ODD_ENDPOINT, 2)
+        with pytest.raises(ValueError, match=f"degree {degree!r} is not an integer"):
+            check_exactness(rule, degree=degree)
+        assert check_exactness(rule, degree=np.int64(5)).degree == 5
+
 
 def _spans(knots, degree, x):
     """Reference: per point, the index s with knots[s] <= x < knots[s+1],
