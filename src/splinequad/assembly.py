@@ -35,9 +35,9 @@ import mpmath
 import numpy as np
 
 from .doubledouble import DD
-from .families import Family, FamilySpec
+from .families import GUARD_DIGITS, Family, FamilySpec
 from .gegenbauer import GegenbauerCombo, eval_combo
-from .rootfind import REFINE_TOL, CountMismatch, RootSet, isolate_and_refine
+from .rootfind import CountMismatch, RootSet, isolate_and_refine
 
 
 class DegenerateWeight(Exception):
@@ -80,7 +80,7 @@ class ScaledRule:
 
 
 POLISH_STEPS = 6  # cap on the Newton steps of each polish
-_GUARD_DIGITS = 5  # extra digits of the extended polish, weights and division
+REFINE_TOL = 1e-15  # no larger double-double Newton step ends the polish
 _K_BOUND = 1e5  # the bound on |R''/2R'| that the mpf polish tolerance assumes
 
 
@@ -136,8 +136,8 @@ def _free(iv, extended: bool) -> tuple:
     """Free nodes and weights of one interval.
 
     The roots are found in double, as the eigenvalues of R's Jacobi
-    matrix refined by Newton, then polished by one double-double Newton
-    step.  For extended, the nodes are lifted into mpf and Newton
+    matrix each taken one Newton step, then polished by one double-double
+    Newton step.  For extended, the nodes are lifted into mpf and Newton
     continues there with guard digits; this is the stage's one precision
     branch.  The weight A / (R'(x) S(x) f(x)) is so sensitive to x near
     +-1 that even the double root (within about an ulp, 1.3e-16 at most
@@ -152,9 +152,10 @@ def _free(iv, extended: bool) -> tuple:
     x = polish(r, DD(np.array(found.roots)), found, REFINE_TOL)
     with contextlib.ExitStack() as working:
         if extended:
-            dps = mpmath.mp.dps + _GUARD_DIGITS
+            dps = mpmath.mp.dps + GUARD_DIGITS
             working.enter_context(mpmath.workdps(dps))
-            r, s, a = iv.r, iv.s, iv.a.numerator
+            # S's Fraction constants become mpf once, not at every node
+            r, s, a = iv.r, iv.s.map(_mpf), iv.a.numerator
             # hi + lo is exact at the working precision
             x = np.array([mpmath.mpf(h) + lo
                           for h, lo in zip(*np.broadcast_arrays(x.hi, x.lo))], dtype=object)

@@ -11,17 +11,20 @@ from __future__ import annotations
 import mpmath
 
 from .assembly import ScaledRule, assemble, scale_to_unit_intervals
-from .families import EXTENDED_DPS, Family, build_family
+from .families import EXTENDED_DPS, Family, build_family, is_integer
 
 
 def family_for(smoothness: int, degree: int, variant: str | None = None):
     """Resolve (smoothness class, degree, variant) to (Family, n).
 
-    Raises ValueError for combinations outside the catalog: a class,
-    parity and variant that name no family (variants only apply to C1 odd
-    degrees, where the default is the endpoint rule), or n outside the
-    family's supported range (:meth:`Family.check_n`).
+    Raises ValueError for combinations outside the catalog: a degree
+    that is not an integer (a bool included), a class, parity and variant
+    that name no family (variants only apply to C1 odd degrees, where the
+    default is the endpoint rule), or n outside the family's supported
+    range (:meth:`Family.check_n`).
     """
+    if not is_integer(degree):
+        raise ValueError(f"degree {degree!r}: the degree must be an integer")
     parity = "odd" if degree % 2 else "even"
     if variant is None:
         variant = "endpoint" if (smoothness, parity) == (1, "odd") else "default"
@@ -49,9 +52,9 @@ def build_rule(family: Family, n: int, delta_sign: int = +1,
     from one double-double Newton step at the double roots; extended
     continues with Newton in mpf at 55 digits, takes R' and S from one
     recurrence pass there, and rounds each node and weight once to 50
-    digits.  Against a 100-digit build of the same spec the nodes are
-    within 1e-51; the weights within 6e-51 relative at n = 50, 2e-49 at
-    n = 80 and 2e-47 at n = 200 (the reference tables carry 25
+    digits.  Against a spec and assembly at 110 digits the nodes are
+    within 7e-52; the weights within 1.1e-50 relative at n = 50, 1.3e-49
+    at n = 80 and 1.7e-47 at n = 200 (the reference tables carry 25
     significant digits).
     """
     if precision not in ("double", "extended"):

@@ -2,10 +2,18 @@
 
 :func:`build_family` is the one way to build a spec.  It checks the
 family, n and the delta sign, then runs the family's private formula
-function at EXTENDED_DPS.  The result is a :class:`FamilySpec`: the
-family, n, delta, and per interval of the period an
-:class:`IntervalSpec` holding the polynomial R whose roots are the free
-nodes, the companion polynomial S of the weight denominator, the
+function at EXTENDED_DPS + GUARD_DIGITS digits.  The guard digits matter:
+S cancels near +-1, and that cancellation magnifies the rounding error of
+every coefficient that involves delta into the weights.  With the spec at
+exactly 50 digits, the 50-digit C1 odd interior weights were off by
+5e-44 relative at n = 200; with 5 guard digits, by 3e-48.
+
+The result is a :class:`FamilySpec`: the family, n, delta, and per
+interval of the period an :class:`IntervalSpec` holding the polynomial R
+whose roots are the free nodes (a combination of Gegenbauer
+polynomials with constant coefficients), the companion polynomial S of
+the weight denominator (where the paper writes x C_d or (1 + x^2) C_d,
+expanded into such terms by :func:`splinequad.gegenbauer.times_x`), the
 normalization constant A, an optional fixed endpoint node with its
 closed-form weight, the extra denominator factor f (a function of x),
 and the number of free nodes.  The weights of the free nodes are
@@ -40,11 +48,14 @@ from typing import Callable, Optional
 
 import mpmath
 
-from .gegenbauer import GegenbauerCombo
+from .gegenbauer import GegenbauerCombo, times_x
 
-# dps of every coefficient that involves delta, and of the whole
-# extended-precision path
+# dps of the extended-precision rules
 EXTENDED_DPS = 50
+
+# digits past EXTENDED_DPS at which the spec and the extended polish,
+# weights and division run
+GUARD_DIGITS = 5
 
 # largest supported n in every family, in both precisions
 MAX_N = 200
@@ -135,7 +146,7 @@ class FamilySpec:
 
     id: Family
     n: int
-    delta: object  # mpf at EXTENDED_DPS; 0 when the family has no delta
+    delta: object  # mpf at EXTENDED_DPS + GUARD_DIGITS; 0 when the family has no delta
     intervals: tuple
     second_interval_by_reflection: bool = False
 
@@ -143,9 +154,10 @@ class FamilySpec:
 def _sqrt(radicand: Fraction):
     """sqrt(radicand) as an mpf at the working precision.
 
-    :func:`build_family` runs every formula at EXTENDED_DPS, so delta
-    and every coefficient computed from it are mpf values at that
-    precision; all other coefficients are exact ints or Fractions.
+    :func:`build_family` runs every formula at EXTENDED_DPS +
+    GUARD_DIGITS, so delta and every coefficient computed from it are mpf
+    values at that precision; all other coefficients are exact ints or
+    Fractions.
     """
     num = mpmath.mpf(radicand.numerator)
     den = mpmath.mpf(radicand.denominator)
@@ -161,13 +173,13 @@ def _c0_odd(n: int) -> FamilySpec:
     a = 1.5
     first = IntervalSpec(
         r=GegenbauerCombo.build(a, [(n, n * n), (n - 2, -((n + 1) ** 2))]),
-        s=GegenbauerCombo.build(a, [(n - 1, n), (n - 2, (0, -(n + 1), 0))]),
+        s=GegenbauerCombo.build(a, [(n - 1, n)] + times_x(a, [(n - 2, -(n + 1))])),
         a=2 * (n + 1) * (2 * n + 1) * n * n,
         expected_free_nodes=n,
     )
     second = IntervalSpec(
         r=GegenbauerCombo.build(a, [(n - 1, 1)]),
-        s=GegenbauerCombo.build(a, [(n - 2, 2 * n - 1), (n - 3, (0, -n, 0))]),
+        s=GegenbauerCombo.build(a, [(n - 2, 2 * n - 1)] + times_x(a, [(n - 3, -n)])),
         a=2 * n * (2 * n - 1),
         expected_free_nodes=n - 1,
     )
@@ -188,7 +200,7 @@ def _c0_even(n: int, delta_sign: int) -> FamilySpec:
         r=GegenbauerCombo.build(a, [(n, 1), (n - 1, delta)]),
         s=GegenbauerCombo.build(
             a,
-            [(n - 1, (2 * n + 1, delta * n, 0)), (n - 2, (0, -(n + 1), 0))],
+            [(n - 1, 2 * n + 1)] + times_x(a, [(n - 1, delta * n), (n - 2, -(n + 1))]),
         ),
         a=2 * (n + 1) * (2 * n + 1),
         expected_free_nodes=n,
@@ -246,6 +258,8 @@ def _c1_interior(n: int, delta_sign: int) -> FamilySpec:
         )
     delta = delta_sign * _sqrt(Fraction(3 * (n * n + 3 * n - 1), n * (n + 3)))
     q1 = 2 * n * n + 6 * n + 1
+    # the terms the paper multiplies by (1 + x^2)
+    outer = [(n - 1, n * (6 * n * n + 6 * n - 3 + 2 * (2 * n + 1) * delta)), (n - 3, (n + 2) * q1)]
     interval = IntervalSpec(
         r=GegenbauerCombo.build(
             a,
@@ -254,13 +268,9 @@ def _c1_interior(n: int, delta_sign: int) -> FamilySpec:
                 (n - 2, -(n + 3) * (2 * n * n + 6 * n + 7 - 2 * (2 * n + 3) * delta)),
             ],
         ),
+        # (1 + x^2) outer + x middle = outer + x (middle + x outer)
         s=GegenbauerCombo.build(
-            a,
-            [
-                (n - 1, _one_plus_x2(n * (6 * n * n + 6 * n - 3 + 2 * (2 * n + 1) * delta))),
-                (n - 2, (0, -4 * (2 * n + 1) * q1, 0)),
-                (n - 3, _one_plus_x2((n + 2) * q1)),
-            ],
+            a, outer + times_x(a, [(n - 2, -4 * (2 * n + 1) * q1)] + times_x(a, outer)),
         ),
         a=Fraction(
             2 * (n - 1) * (n + 1) * (n + 2) * (2 * n + 1) * (2 * n + 3)
@@ -272,11 +282,6 @@ def _c1_interior(n: int, delta_sign: int) -> FamilySpec:
     return FamilySpec(
         id=Family.C1_ODD_INTERIOR, n=n, delta=delta, intervals=(interval,),
     )
-
-
-def _one_plus_x2(c):
-    """Coefficient tuple for c * (1 + x^2)."""
-    return (c, 0, c)
 
 
 def _c1_even(n: int) -> FamilySpec:
@@ -333,7 +338,8 @@ _SIGN_CHOICE = (Family.C0_EVEN, Family.C1_ODD_INTERIOR)
 
 
 def build_family(family: Family, n: int, delta_sign: int = +1) -> FamilySpec:
-    """The spec of ``family`` at index n, its formulas run at EXTENDED_DPS.
+    """The spec of ``family`` at index n, its formulas run at EXTENDED_DPS +
+    GUARD_DIGITS.
 
     Raises a ValueError naming the family and n when family is not a
     :class:`Family`, when n is not an integer in the family's range
@@ -350,5 +356,5 @@ def build_family(family: Family, n: int, delta_sign: int = +1) -> FamilySpec:
         raise ValueError(f"{family.name} n={n}: delta_sign must be "
                          f"{'+1 or -1' if signed else '+1'}, not {delta_sign!r}")
     formula = _FORMULAS[family]
-    with mpmath.workdps(EXTENDED_DPS):
+    with mpmath.workdps(EXTENDED_DPS + GUARD_DIGITS):
         return formula(n, delta_sign) if signed else formula(n)

@@ -6,6 +6,11 @@ rules, 5/2 for the C1 rules).  Evaluation is by the forward three-term
 recurrence, which is stable for the degrees and arguments used here
 (n <= 200, x in [-1, 1]).
 
+A combo is a sum of constants times Gegenbauer polynomials of one alpha.
+Where the paper multiplies a Gegenbauer polynomial by x or by 1 + x^2,
+:func:`times_x` rewrites the product by the three-term recurrence, once,
+when the spec is built; so evaluation only sums constants times C_k.
+
 :func:`eval_combo` is the one evaluator: a single Gegenbauer polynomial
 C_n^(alpha) is the one-term combo ``GegenbauerCombo.build(alpha, [(n, 1)])``.
 Given several combos of one alpha, it evaluates them all from one run of
@@ -20,21 +25,22 @@ code path serves all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 
 @dataclass(frozen=True)
 class GegenbauerCombo:
-    """A polynomial written as sum_k p_k(x) * C_{d_k}^(alpha)(x).
+    """A polynomial written as sum_k c_k C_{d_k}^(alpha)(x).
 
-    Each term pairs a Gegenbauer degree with a coefficient polynomial of
-    degree <= 2, stored as (c0, c1, c2) meaning c0 + c1*x + c2*x**2.
-    The rule formulas need nothing richer: coefficients are constants,
-    multiples of x, or multiples of (1 + x**2).
+    Each term pairs a Gegenbauer degree with a constant: an int, a
+    Fraction or an mpf.  A paper formula with x C_d or (1 + x^2) C_d is
+    expanded into such terms once, by :func:`times_x`, when its spec is
+    built.
 
-    Terms with negative Gegenbauer degree are identically zero and are
-    dropped at construction (use the ``build`` classmethod).  The rule
-    formulas shift degrees by up to 3, and this convention makes them
-    degenerate correctly at small n without special cases.
+    ``build`` drops the terms of negative Gegenbauer degree, which are
+    identically zero, and sums the terms of one degree.  The rule formulas
+    shift degrees by up to 3, and this convention makes them degenerate
+    correctly at small n without special cases.
     """
 
     alpha: float
@@ -42,24 +48,36 @@ class GegenbauerCombo:
 
     @classmethod
     def build(cls, alpha, terms) -> "GegenbauerCombo":
-        cleaned = []
+        summed = {}
         for degree, coeff in terms:
-            if degree < 0:
-                continue
-            if not isinstance(coeff, tuple):
-                coeff = (coeff, 0, 0)
-            cleaned.append((degree, coeff))
-        return cls(alpha, tuple(cleaned))
+            if degree >= 0:
+                summed[degree] = summed.get(degree, 0) + coeff
+        return cls(alpha, tuple(summed.items()))
 
     def map(self, convert) -> "GegenbauerCombo":
-        """The same combo with every coefficient passed through convert
+        """The same combo with every constant passed through convert
         (e.g. ``float``, or a double-double constructor)."""
-        return GegenbauerCombo(self.alpha, tuple(
-            (d, tuple(convert(c) for c in coeff)) for d, coeff in self.terms))
+        return GegenbauerCombo(self.alpha, tuple((d, convert(c)) for d, c in self.terms))
 
     @property
     def is_empty(self) -> bool:
         return not self.terms
+
+
+def times_x(alpha, terms) -> list:
+    """The terms (degree, constant) of x times the combo of ``terms``.
+
+    By x C_d = ((d + 1) C_{d+1} + (d + 2 alpha - 1) C_{d-1}) / (2 (d + alpha))
+    (DLMF §18.9).  alpha enters as an exact Fraction, so int and Fraction
+    constants stay exact; a term of negative degree is zero and gives none.
+    """
+    a = Fraction(alpha)
+    out = []
+    for d, c in terms:
+        if d >= 0:
+            out += [(d + 1, c * ((d + 1) / (2 * (d + a)))),
+                    (d - 1, c * ((d + 2 * a - 1) / (2 * (d + a))))]
+    return out
 
 
 def eval_combo(p, x):
@@ -72,9 +90,9 @@ def eval_combo(p, x):
         k C'_k = 2 (k + alpha - 1) (C_{k-1} + x C'_{k-1})
                  - (k + 2 alpha - 2) C'_{k-2}
 
-    starting from C_{-1} = 0, C_0 = 1.  Returns (value, derivative); the
-    derivative applies the product rule to the coefficient polynomials.
-    The empty combo gives (0, 0).
+    starting from C_{-1} = 0, C_0 = 1.  Returns (value, derivative), each
+    the sum of its terms' constants times C_k or C'_k.  The empty combo
+    gives (0, 0).
 
     ``p`` may also be a tuple of combos of one alpha (else ValueError):
     the one recurrence then serves them all, and the result is a tuple
@@ -104,9 +122,11 @@ def eval_combo(p, x):
                 (a * x * c - b * c_prev) / k, c,
                 (a * (c + x * dc) - b * dc_prev) / k, dc,
             )
-        for i, (c0, c1, c2) in wanted.get(k, ()):
-            coeff = c0 + (c1 + c2 * x) * x
-            val[i] = val[i] + coeff * c
-            der[i] = der[i] + (c1 + 2 * c2 * x) * c + coeff * dc
+        # C_k times the constant, not the reverse: an mpf times an array of
+        # mpf formats the whole array into an error message before numpy
+        # takes over the product
+        for i, coeff in wanted.get(k, ()):
+            val[i] = val[i] + c * coeff
+            der[i] = der[i] + dc * coeff
     pairs = tuple(zip(val, der))
     return pairs[0] if isinstance(p, GegenbauerCombo) else pairs

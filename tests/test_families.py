@@ -7,6 +7,7 @@ import pytest
 
 from splinequad.families import (
     EXTENDED_DPS,
+    GUARD_DIGITS,
     MAX_N,
     Family,
     build_family,
@@ -14,8 +15,8 @@ from splinequad.families import (
     c1_even_factor,
     no_extra_factor,
 )
-from splinequad.catalog import build_rule, family_for, rule_id
-from splinequad.gegenbauer import eval_combo
+from splinequad.catalog import build_rule, build_rule_by_degree, family_for, rule_id
+from splinequad.gegenbauer import GegenbauerCombo, eval_combo
 from splinequad.rootfind import isolate_and_refine
 
 from conftest import cached_rule, family_range
@@ -50,7 +51,7 @@ class TestC0Odd:
     def test_n1_second_interval_has_no_free_nodes(self):
         spec = build_family(Family.C0_ODD, 1)
         assert spec.intervals[1].expected_free_nodes == 0
-        assert spec.intervals[1].r.terms == ((0, (1, 0, 0)),)  # R = C_0 = 1
+        assert spec.intervals[1].r.terms == ((0, 1),)  # R = C_0 = 1
 
     def test_structure(self):
         spec = build_family(Family.C0_ODD, 4)
@@ -77,7 +78,7 @@ class TestC0Even:
     def test_minus_sign_flips_delta(self):
         plus = build_family(Family.C0_EVEN, 3, delta_sign=+1)
         minus = build_family(Family.C0_EVEN, 3, delta_sign=-1)
-        with mpmath.workdps(EXTENDED_DPS):  # delta carries 50 digits
+        with mpmath.workdps(EXTENDED_DPS + GUARD_DIGITS):  # delta carries 55 digits
             assert minus.delta == -plus.delta
         assert plus.delta == pytest.approx(math.sqrt(5 / 3))
 
@@ -218,6 +219,42 @@ class TestFamilyInvariants:
             assert_delta_squares_to(even, radicand)
             assert even.delta == pytest.approx(math.sqrt(float(radicand)), rel=1e-15)
 
+    @pytest.mark.parametrize("family", list(Family))
+    def test_expanded_s_equals_product_form(self, family):
+        # S as the paper writes it: terms (d, (c0, c1, c2)) standing for
+        # (c0 + c1 x + c2 x^2) C_d.  The spec's S has the products expanded
+        # by times_x into constants times C_d
+        def paper_s(spec):
+            n, delta = spec.n, spec.delta
+            q, q1 = 2 * n * n + 2 * n - 3, 2 * n * n + 6 * n + 1
+            a = n * (6 * n * n + 6 * n - 3 + 2 * (2 * n + 1) * delta)
+            return {
+                Family.C0_ODD: [[(n - 1, (n, 0, 0)), (n - 2, (0, -(n + 1), 0))],
+                                [(n - 2, (2 * n - 1, 0, 0)), (n - 3, (0, -n, 0))]],
+                Family.C0_EVEN: [[(n - 1, (2 * n + 1, delta * n, 0)), (n - 2, (0, -(n + 1), 0))]],
+                Family.C1_ODD_ENDPOINT: [[(n - 2, (1, 0, 0))]],
+                Family.C1_ODD_INTERIOR: [[(n - 1, (a, 0, a)),
+                                          (n - 2, (0, -4 * (2 * n + 1) * q1, 0)),
+                                          (n - 3, ((n + 2) * q1, 0, (n + 2) * q1))]],
+                Family.C1_EVEN: [[(n - 2, (3 * (n + 2) * (2 * n * n - 1) - 2 * delta, 0, 0)),
+                                  (n - 3, ((n + 2) * q, 0, 0))]],
+            }[spec.id]
+
+        for n in (2, 3, 40, MAX_N):
+            spec = build_family(family, n)
+            with mpmath.workdps(70):
+                for iv, terms in zip(spec.intervals, paper_s(spec)):
+                    def gegenbauer(d, x):
+                        return eval_combo(GegenbauerCombo.build(iv.s.alpha, [(d, 1)]), x)[0]
+
+                    for x in mpmath.linspace(-1, 1, 9):
+                        paper = [(c0 + (c1 + c2 * x) * x) * gegenbauer(d, x)
+                                 for d, (c0, c1, c2) in terms]
+                        expanded = [c * gegenbauer(d, x) for d, c in iv.s.terms]
+                        # the constants with delta carry 55 digits
+                        scale = sum(abs(t) for t in paper + expanded)
+                        assert abs(sum(expanded) - sum(paper)) <= 1e-53 * scale, (family, n, x)
+
     def test_extra_factors(self):
         for x in (-0.5, 0.0, 0.3):
             assert no_extra_factor(x) == 1
@@ -272,8 +309,14 @@ class TestBadInputs:
             Family.C1_EVEN.check_n(n)
 
     def test_non_integer_degree(self):
-        with pytest.raises(ValueError, match=r"C0_ODD n=4\.0: n must be an integer"):
+        with pytest.raises(ValueError, match=r"degree 7\.0: the degree must be an integer"):
             family_for(0, 7.0)
+
+    @pytest.mark.parametrize("degree", [True, False])
+    def test_bool_degree(self, degree):
+        # True would be read as degree 1, the C0 odd n = 1 rule
+        with pytest.raises(ValueError, match=rf"degree {degree}: the degree must be an integer"):
+            build_rule_by_degree(0, degree)
 
     def test_family_given_by_name(self):
         with pytest.raises(ValueError, match=r"'C0_ODD' n=3: not a Family"):

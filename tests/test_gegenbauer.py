@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -7,7 +8,7 @@ from scipy.special import eval_gegenbauer as scipy_gegenbauer
 
 from splinequad.doubledouble import DD
 from splinequad.families import EXTENDED_DPS, Family, build_family
-from splinequad.gegenbauer import GegenbauerCombo, eval_combo
+from splinequad.gegenbauer import GegenbauerCombo, eval_combo, times_x
 
 ORDERS = [1.5, 2.5, 3.5]
 
@@ -160,10 +161,8 @@ class TestSinglePassCombo:
                         (a * (c + x * dc) - b * dc_prev) / k, dc,
                     )
                 if k in wanted:
-                    c0, c1, c2 = wanted[k]
-                    coeff = c0 + (c1 + c2 * x) * x
-                    val = val + coeff * c
-                    der = der + (c1 + 2 * c2 * x) * c + coeff * dc
+                    val = val + wanted[k] * c
+                    der = der + wanted[k] * dc
             return val, der
 
         spec = build_family(family, 40)
@@ -206,7 +205,7 @@ class TestFusedCombos:
                     assert eval_combo(combos, x) == tuple(eval_combo(q, x) for q in combos)
 
     def test_one_combo_in_a_tuple(self):
-        p = GegenbauerCombo.build(1.5, [(3, 2), (1, (0, 1, 0))])
+        p = GegenbauerCombo.build(1.5, [(3, 2), (1, Fraction(1, 3))])
         assert eval_combo((p,), 0.4) == (eval_combo(p, 0.4),)
 
     def test_mixed_alphas_rejected(self):
@@ -240,19 +239,29 @@ class TestCombo:
         assert der == pytest.approx(3.0)
 
     def test_negative_degree_terms_dropped(self):
-        p = GegenbauerCombo.build(2.5, [(-1, 99), (-3, (0, 1, 0)), (0, 2)])
-        assert p.terms == ((0, (2, 0, 0)),)
+        p = GegenbauerCombo.build(2.5, [(-1, 99), (-3, 1), (0, 2)])
+        assert p.terms == ((0, 2),)
 
-    def test_coefficient_functions_use_product_rule(self):
-        # x * C_1 at order 3/2 is 3 x^2; derivative 6x
-        p = GegenbauerCombo.build(1.5, [(1, (0, 1, 0))])
-        val, der = eval_combo(p, 0.4)
-        assert val == pytest.approx(3 * 0.16)
-        assert der == pytest.approx(6 * 0.4)
+    def test_terms_of_one_degree_summed(self):
+        p = GegenbauerCombo.build(1.5, [(2, 4), (0, -9), (2, Fraction(1, 2))])
+        assert p.terms == ((2, Fraction(9, 2)), (0, -9))
 
-    def test_one_plus_x2_coefficient(self):
-        # (1 + x^2) * C_0 -> value 1 + x^2, derivative 2x
-        p = GegenbauerCombo.build(2.5, [(0, (1, 0, 1))])
-        val, der = eval_combo(p, -0.3)
-        assert val == pytest.approx(1.09)
-        assert der == pytest.approx(-0.6)
+
+class TestTimesX:
+    """times_x against x C_d^(alpha) from mpmath, at 40 digits."""
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.5])
+    def test_matches_x_times_gegenbauer(self, alpha):
+        with mpmath.workdps(40):
+            for d in range(61):
+                terms = times_x(alpha, [(d, 1)])
+                assert all(isinstance(c, Fraction) for _, c in terms)
+                p = GegenbauerCombo.build(alpha, terms)
+                scale = mpmath.gegenbauer(d, alpha, 1)  # the largest |C_d|
+                for x in ("-1", "-0.93", "-0.2", "0.1", "0.77", "1"):
+                    x = mpmath.mpf(x)
+                    got = eval_combo(p, x)[0]
+                    assert abs(got - x * mpmath.gegenbauer(d, alpha, x)) <= 1e-37 * scale, (d, x)
+
+    def test_negative_degree_gives_no_term(self):
+        assert times_x(1.5, [(-1, 5), (-2, 1)]) == []

@@ -5,17 +5,11 @@ import numpy as np
 import pytest
 
 from splinequad import assembly, rootfind
-from splinequad.assembly import PolishFailed, polish
+from splinequad.assembly import REFINE_TOL, PolishFailed, polish
 from splinequad.doubledouble import DD
 from splinequad.families import MAX_N, Family, build_family
 from splinequad.gegenbauer import GegenbauerCombo, eval_combo
-from splinequad.rootfind import (
-    REFINE_TOL,
-    CountMismatch,
-    RootSet,
-    isolate_and_refine,
-    refine_root,
-)
+from splinequad.rootfind import CountMismatch, RootSet, isolate_and_refine, refine_root
 
 LINEAR = GegenbauerCombo.build(1.5, [(1, 1)])              # 3x
 QUADRATIC = GegenbauerCombo.build(1.5, [(2, 4), (0, -9)])  # 30x^2 - 15
@@ -43,12 +37,6 @@ def _polish(combo, roots, brackets, extended):
         return [mpmath.mpf(h) + lo for h, lo in zip(x.hi, x.lo)]
 
 
-def _refine(combo, start, bracket):
-    """refine_root from start with the combo's values at the bracket
-    ends, which isolate_and_refine passes in."""
-    return refine_root(combo, start, bracket, [eval_combo(combo, x)[0] for x in bracket])
-
-
 def _newton_step_60(combo, roots):
     """One Newton step of combo from each root, at 60 digits."""
     with mpmath.workdps(60):
@@ -58,25 +46,29 @@ def _newton_step_60(combo, roots):
 
 
 class TestRefineRoot:
+    """One Newton step in double, from an eigenvalue in its bracket."""
+
     def test_linear(self):
-        assert _refine(LINEAR, 0.5, (-0.4, 0.9)) == pytest.approx(0.0, abs=1e-15)
+        # Newton is exact on a line, from any start
+        assert refine_root(LINEAR, 0.5, (-0.4, 0.9)) == pytest.approx(0.0, abs=1e-15)
 
     def test_shifted_linear(self):
-        root = _refine(SHIFTED, -0.9, (-1.0, 0.0))
+        root = refine_root(SHIFTED, -0.9, (-1.0, 0.0))
         assert root == pytest.approx(-0.5773502691896258, abs=1e-15)
 
     def test_order_five_halves_quadratic(self):
-        root = _refine(ORDER52_QUAD, 0.9, (0.0, 1.0))
+        # from 1e-12 off the root, as an eigenvalue is 2e-15 off
+        root = refine_root(ORDER52_QUAD, 0.3779644730092272 + 1e-12, (0.0, 1.0))
         assert root == pytest.approx(0.3779644730092272, abs=1e-15)
 
     def test_deterministic(self):
-        a = _refine(QUADRATIC, 0.3, (0.1, 1.0))
-        b = _refine(QUADRATIC, 0.3, (0.1, 1.0))
+        a = refine_root(QUADRATIC, 0.3, (0.1, 1.0))
+        b = refine_root(QUADRATIC, 0.3, (0.1, 1.0))
         assert a == b  # bit-identical
 
     def test_one_evaluation_from_the_eigenvalue(self, monkeypatch):
-        # the eigenvalue is within a few ulps of the root, so the first
-        # Newton step is below REFINE_TOL and ends the refinement
+        # the eigenvalue is within a few ulps of the root, and one Newton
+        # step takes it to the root
         calls = []
 
         def counting(p, x):
@@ -84,9 +76,31 @@ class TestRefineRoot:
             return eval_combo(p, x)
 
         monkeypatch.setattr(rootfind, "eval_combo", counting)
-        assert _refine(QUADRATIC, 0.7071067811865477, (0.0, 1.0)) == pytest.approx(
+        assert refine_root(QUADRATIC, 0.7071067811865477, (0.0, 1.0)) == pytest.approx(
             0.7071067811865476, abs=1e-16)
         assert calls == [0.7071067811865477]
+
+    def test_one_evaluation_from_a_far_start(self, monkeypatch):
+        # one step does not settle a root from 0.6, and no second follows
+        calls = []
+
+        def counting(p, x):
+            calls.append(x)
+            return eval_combo(p, x)
+
+        monkeypatch.setattr(rootfind, "eval_combo", counting)
+        x = refine_root(QUADRATIC, 0.6, (0.0, 1.0))
+        assert x == pytest.approx(0.6 - (30 * 0.36 - 15) / (60 * 0.6), rel=1e-15)
+        assert calls == [0.6]
+
+    def test_step_leaving_the_bracket_keeps_x(self):
+        # from 0.3 the step lands at 0.98333.., outside (0.1, 0.9)
+        assert refine_root(QUADRATIC, 0.3, (0.1, 0.9)) == 0.3
+        assert refine_root(QUADRATIC, 0.3, (0.1, 1.0)) > 0.9
+
+    def test_zero_derivative_keeps_x(self):
+        # R' = 60 x vanishes at 0
+        assert refine_root(QUADRATIC, 0.0, (-0.5, 0.5)) == 0.0
 
     def test_evaluates_only_inside_the_brackets(self, monkeypatch):
         # the values at the bracket ends come from one array evaluation,
@@ -173,8 +187,8 @@ class TestIsolateAndRefine:
     @pytest.mark.parametrize("terms", [
         [(3, 1), (2, 1), (1, 1)],       # three terms
         [(3, 1), (0, 1)],               # a second term of degree m - 3
-        [(2, (0, 1, 0))],               # an x coefficient
-        [(2, 1), (0, (1, 0, 1))],       # an x^2 coefficient
+        [(2, 0)],                       # a lone zero coefficient
+        [(2, 1), (2, -1), (1, 1)],      # terms of degree m that cancel
         [(2, 0), (1, 1)],               # a zero leading coefficient
     ])
     def test_combo_outside_the_two_forms(self, terms):
