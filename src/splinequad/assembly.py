@@ -12,9 +12,18 @@ double-double Newton step polishes the double roots, R' and S are
 evaluated at the polished nodes from one recurrence, and each node and
 weight is rounded once at the end.  Extended rules differ in one step:
 the double-double nodes are lifted into numpy object arrays of mpf with
-5 guard digits, and Newton continues there before R' and S are
+10 guard digits, and Newton continues there before R' and S are
 evaluated.  :func:`polish` and the rounding read the number type from
 the arrays they are given.
+
+Where every term of an interval's R has one parity and every term of S
+the other, the interval is symmetric about 0: its nodes come in pairs
++-x with equal weights.  The stage then polishes and weighs only the
+nonnegative half of the roots and mirrors it, as Gauss-Legendre codes
+do.  The parity is read from the spec, never from the family; it holds
+for both C0 odd intervals and the C1 odd intervals, not for C0 even or
+C1 even, whose R mixes parities.  An R of one parity with an S of any
+other parity is a formula bug and raises :class:`AsymmetricSpec`.
 
 Two presentations are produced:
 
@@ -46,6 +55,10 @@ class DegenerateWeight(Exception):
 
 class PolishFailed(Exception):
     """Newton in the working arithmetic did not settle a double root."""
+
+
+class AsymmetricSpec(Exception):
+    """R has one parity but S does not have the other: a formula bug."""
 
 
 @dataclass(frozen=True)
@@ -84,6 +97,15 @@ REFINE_TOL = 1e-15  # no larger double-double Newton step ends the polish
 _K_BOUND = 1e5  # the bound on |R''/2R'| that the mpf polish tolerance assumes
 
 
+def mpf_polish_tol(dps: int):
+    """The step below which the mpf polish of a rule of ``dps`` output
+    digits stops: 10^-(dps//2 + 5), 1e-30 at 50 digits.  Newton's next
+    error is K step^2, and K = |R''/2R'| <= _K_BOUND at every root for
+    n <= MAX_N (measured 6.9e3), so it ends below 10^-(dps + 4), inside
+    the GUARD_DIGITS the polish runs with."""
+    return mpmath.mpf(10) ** (-(dps // 2) - 5)
+
+
 def _mpf(value):
     """An int, Fraction or mpf as an mpf at the current precision."""
     if isinstance(value, Fraction):
@@ -112,10 +134,11 @@ def polish(r: GegenbauerCombo, x, found: RootSet, tol):
     """Newton on r from the nodes x, all at once, until no step is larger
     than ``tol``.  r and x are both double-double or both mpf.  From the
     double roots, one double-double step settles them.  From the
-    double-double nodes, the mpf steps (at 55 digits for a 50-digit rule)
-    stop once no step exceeds 10^(-dps//2 - 3): one step at n <= 24, two
-    at n = 200.  R' = 0, an iterate outside the bracket of its root in
-    ``found``, or running out of steps raises :class:`PolishFailed`."""
+    double-double nodes, the mpf steps (at 60 digits for a 50-digit rule)
+    stop once no step exceeds :func:`mpf_polish_tol`: one step at
+    n <= 50, two at n = 200.  R' = 0, an iterate outside the bracket of
+    its root in ``found``, or running out of steps raises
+    :class:`PolishFailed`."""
     lo, hi = np.array(found.brackets, dtype=float).T
     unsettled = np.ones(len(found.roots), dtype=bool)
     for _ in range(POLISH_STEPS):
@@ -132,6 +155,18 @@ def polish(r: GegenbauerCombo, x, found: RootSet, tol):
                        f"at x={_plain(x)[np.argmax(unsettled)]}")
 
 
+def _reflected(nodes, weights) -> RuleInterval:
+    """Nodes negated and, with their weights, listed in reverse: the
+    mirror image at 0 of ascending nodes, ascending again."""
+    return RuleInterval(tuple(-x for x in nodes[::-1]), tuple(weights[::-1]))
+
+
+def _parity(combo):
+    """0 or 1 when every degree of the combo has that parity, else None."""
+    parities = {d % 2 for d, _ in combo.terms}
+    return parities.pop() if len(parities) == 1 else None
+
+
 def _free(iv, extended: bool) -> tuple:
     """Free nodes and weights of one interval.
 
@@ -146,23 +181,32 @@ def _free(iv, extended: bool) -> tuple:
     R' and S are evaluated at the polished nodes in the same arithmetic,
     both from one recurrence, and each node and weight is rounded once,
     at the end.
+
+    When every degree of R has one parity, R's roots are symmetric about
+    0, and only the nonnegative ones are polished and weighed, the middle
+    root 0 included when their number is odd.  The strictly positive
+    ones, mirrored, give the rest, so mirror pairs agree exactly in both
+    arithmetics.  The weights are symmetric when S has the other parity,
+    as R' does (f is even wherever this holds); an S that does not
+    raises :class:`AsymmetricSpec`, after the weights' own checks.
     """
+    parity = _parity(iv.r)
     found = isolate_and_refine(iv.r, iv.expected_free_nodes)
+    if parity is not None:
+        half = iv.expected_free_nodes // 2
+        found = RootSet(found.roots[half:], found.brackets[half:])
     r, s, a = iv.r.map(DD.of), iv.s.map(DD.of), DD.of(iv.a.numerator)
     x = polish(r, DD(np.array(found.roots)), found, REFINE_TOL)
     with contextlib.ExitStack() as working:
         if extended:
-            dps = mpmath.mp.dps + GUARD_DIGITS
-            working.enter_context(mpmath.workdps(dps))
+            tol = mpf_polish_tol(mpmath.mp.dps)
+            working.enter_context(mpmath.workdps(mpmath.mp.dps + GUARD_DIGITS))
             # S's Fraction constants become mpf once, not at every node
             r, s, a = iv.r, iv.s.map(_mpf), iv.a.numerator
             # hi + lo is exact at the working precision
             x = np.array([mpmath.mpf(h) + lo
                           for h, lo in zip(*np.broadcast_arrays(x.hi, x.lo))], dtype=object)
-            # Newton's next error is K step^2, and K = |R''/2R'| <= _K_BOUND
-            # at every root for n <= MAX_N (measured 6.9e3): this step
-            # bound leaves it below 10^-dps
-            x = polish(r, x, found, mpmath.mpf(10) ** (-(dps // 2) - 3))
+            x = polish(r, x, found, tol)
         (_, rder), (sval, _) = eval_combo((r, s), x)
         denom = rder * sval * iv.extra_weight_factor(x)
         size = np.abs(_plain(denom))
@@ -170,7 +214,15 @@ def _free(iv, extended: bool) -> tuple:
                   DegenerateWeight, "denominator ~ 0")
         # A is exact (int or Fraction): its numerator enters unrounded
         weights = a / (iv.a.denominator * denom)
-    return _rounded(x), _rounded(weights)
+    nodes, weights = _rounded(x), _rounded(weights)
+    if parity is None:
+        return nodes, weights
+    if _parity(iv.s) != 1 - parity:
+        raise AsymmetricSpec(f"R has degrees {sorted(d for d, _ in iv.r.terms)} of one parity, "
+                             f"S degrees {sorted(d for d, _ in iv.s.terms)} not of the other")
+    odd = iv.expected_free_nodes % 2  # then the middle root 0 is not mirrored
+    mirror = _reflected(nodes[odd:], weights[odd:])
+    return [*mirror.nodes, *nodes], [*mirror.weights, *weights]
 
 
 def assemble(spec: FamilySpec, extended: bool = False) -> ReferenceRule:
@@ -195,7 +247,7 @@ def assemble(spec: FamilySpec, extended: bool = False) -> ReferenceRule:
         if iv.expected_free_nodes > 0:
             try:
                 free_nodes, free_weights = _free(iv, extended)
-            except (CountMismatch, DegenerateWeight, PolishFailed) as exc:
+            except (AsymmetricSpec, CountMismatch, DegenerateWeight, PolishFailed) as exc:
                 raise type(exc)(f"{spec.id.name} n={spec.n}: {exc}") from exc
             nodes += free_nodes
             weights += free_weights
@@ -203,9 +255,7 @@ def assemble(spec: FamilySpec, extended: bool = False) -> ReferenceRule:
     if spec.second_interval_by_reflection:
         skip = 0 if spec.intervals[0].fixed_node is None else 1
         first = intervals[0]
-        # negated, the ascending free nodes descend: reversed, they ascend
-        intervals.append(RuleInterval(tuple(-x for x in first.nodes[skip:][::-1]),
-                                      first.weights[skip:][::-1]))
+        intervals.append(_reflected(first.nodes[skip:], first.weights[skip:]))
     return ReferenceRule(
         family=spec.id, n=spec.n, degree=spec.id.degree(spec.n),
         intervals=tuple(intervals), delta=real(spec.delta),

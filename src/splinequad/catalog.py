@@ -50,11 +50,11 @@ def build_rule(family: Family, n: int, delta_sign: int = +1,
     precision "double" gives floats, the extended rule rounded to double;
     "extended" gives mpf values at EXTENDED_DPS (50) digits.  Both start
     from one double-double Newton step at the double roots; extended
-    continues with Newton in mpf at 55 digits, takes R' and S from one
+    continues with Newton in mpf at 60 digits, takes R' and S from one
     recurrence pass there, and rounds each node and weight once to 50
-    digits.  Against a spec and assembly at 110 digits the nodes are
-    within 7e-52; the weights within 1.1e-50 relative at n = 50, 1.3e-49
-    at n = 80 and 1.7e-47 at n = 200 (the reference tables carry 25
+    digits.  Against a spec and assembly at 110 digits, at n = 24, 50,
+    80 and 200 in every family, the nodes are within 6.7e-52 and the
+    weights within 1.3e-51 relative (the reference tables carry 25
     significant digits).
     """
     if precision not in ("double", "extended"):

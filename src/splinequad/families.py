@@ -4,9 +4,13 @@
 family, n and the delta sign, then runs the family's private formula
 function at EXTENDED_DPS + GUARD_DIGITS digits.  The guard digits matter:
 S cancels near +-1, and that cancellation magnifies the rounding error of
-every coefficient that involves delta into the weights.  With the spec at
-exactly 50 digits, the 50-digit C1 odd interior weights were off by
-5e-44 relative at n = 200; with 5 guard digits, by 3e-48.
+every coefficient that involves delta into the weights.  The weight is
+also sensitive to its node (|d log w / dx| reaches 3.4e9 at n = 200), so
+the extended polish in :mod:`splinequad.assembly` runs with the same
+guard digits.  Against a spec and assembly at 110 digits, the 50-digit
+C1 odd interior weights at n = 200 were off by 5e-44 relative with the
+spec at exactly 50 digits and by 3e-48 with 5 guard digits; with 10, the
+weights of every family are within 1.3e-51.
 
 The result is a :class:`FamilySpec`: the family, n, delta, and per
 interval of the period an :class:`IntervalSpec` holding the polynomial R
@@ -55,7 +59,7 @@ EXTENDED_DPS = 50
 
 # digits past EXTENDED_DPS at which the spec and the extended polish,
 # weights and division run
-GUARD_DIGITS = 5
+GUARD_DIGITS = 10
 
 # largest supported n in every family, in both precisions
 MAX_N = 200

@@ -11,6 +11,7 @@ from scipy.special import roots_gegenbauer
 from splinequad import assembly, families
 from splinequad.assembly import (
     REFINE_TOL,
+    AsymmetricSpec,
     DegenerateWeight,
     PolishFailed,
     assemble,
@@ -236,7 +237,7 @@ class TestExtendedPrecision:
                     for x, y in zip(iv.nodes, ref.nodes):
                         assert abs(x - y) <= 1e-50, (n, x, y)
                     for w, v in zip(iv.weights, ref.weights):
-                        assert abs(w - v) <= 1e-49 * abs(v), (n, w, v)
+                        assert abs(w - v) <= 1e-50 * abs(v), (n, w, v)
 
     def test_mpf_polish_from_a_far_seed(self, monkeypatch):
         # seeded 1e-20 off the roots instead of at the double-double
@@ -255,7 +256,7 @@ class TestExtendedPrecision:
         monkeypatch.setattr(assembly, "eval_combo", counting)
         dps = EXTENDED_DPS + GUARD_DIGITS
         with mpmath.workdps(EXTENDED_DPS):
-            tol = mpmath.mpf(10) ** (-(dps // 2) - 3)  # as in assembly._free
+            tol = assembly.mpf_polish_tol(EXTENDED_DPS)
             with mpmath.workdps(dps):
                 dd = polish(iv.r.map(DD.of), DD(np.array(found.roots)), found, REFINE_TOL)
                 steps.clear()
@@ -287,10 +288,10 @@ class TestExtendedPrecision:
 
     @pytest.mark.parametrize("family", list(Family))
     def test_newton_curvature_bound(self, family):
-        # the mpf polish stops once no step exceeds 10^(-dps//2 - 3); the
-        # next error K step^2 is then below 10^-dps while K = |R''/2R'|
-        # stays within assembly._K_BOUND at every root.  R'' by a central
-        # difference of R', in double
+        # the mpf polish stops once no step exceeds mpf_polish_tol(dps); the
+        # next error K step^2 is then below 10^-(dps + 4) while
+        # K = |R''/2R'| stays within assembly._K_BOUND at every root.  R''
+        # by a central difference of R', in double
         h = 1e-7
         for iv in build_family(family, MAX_N).intervals:
             r = iv.r.map(float)
@@ -298,6 +299,106 @@ class TestExtendedPrecision:
             d2 = (eval_combo(r, x + h)[1] - eval_combo(r, x - h)[1]) / (2 * h)
             k = np.abs(d2 / (2 * eval_combo(r, x)[1]))
             assert k.max() <= assembly._K_BOUND, (family, k.max())
+
+
+def _full_polish(iv, extended):
+    """The free nodes and weights of one interval with all its roots
+    polished and weighed, none mirrored: the steps of ``assembly._free``
+    without the mirror, the reference of :class:`TestMirror`."""
+    found = isolate_and_refine(iv.r, iv.expected_free_nodes)
+    r, s, a = iv.r.map(DD.of), iv.s.map(DD.of), DD.of(iv.a.numerator)
+    x = polish(r, DD(np.array(found.roots)), found, REFINE_TOL)
+    if not extended:
+        (_, rder), (sval, _) = eval_combo((r, s), x)
+        weights = a / (iv.a.denominator * (rder * sval * iv.extra_weight_factor(x)))
+        return x.rounded().tolist(), weights.rounded().tolist()
+    with mpmath.workdps(EXTENDED_DPS + GUARD_DIGITS):
+        x = np.array([mpmath.mpf(h) + lo for h, lo in zip(x.hi, x.lo)], dtype=object)
+        x = polish(iv.r, x, found, assembly.mpf_polish_tol(EXTENDED_DPS))
+        (_, rder), (sval, _) = eval_combo((iv.r, iv.s), x)
+        weights = iv.a.numerator / (iv.a.denominator * (rder * sval * iv.extra_weight_factor(x)))
+    # unary plus rounds to the caller's precision, as assemble's output is
+    return [+v for v in x], [+v for v in weights]
+
+
+# every interval of these families has an R of one parity
+SYMMETRIC = (Family.C0_ODD, Family.C1_ODD_ENDPOINT, Family.C1_ODD_INTERIOR)
+
+
+class TestMirror:
+    # the mirror makes criterion 5's symmetry deviation zero by
+    # construction, so these tests compare it with a polish of every root
+
+    @pytest.mark.parametrize("family", SYMMETRIC)
+    def test_double_equals_full_polish(self, family):
+        for n in [*range(family.min_n, 81), 120, 200]:
+            spec = build_family(family, n)
+            for iv, riv in zip(spec.intervals, assemble(spec).intervals):
+                if iv.expected_free_nodes:
+                    free = iv.fixed_node is not None
+                    assert (riv.nodes[free:], riv.weights[free:]) == \
+                        tuple(map(tuple, _full_polish(iv, False))), n
+
+    @pytest.mark.parametrize("family", SYMMETRIC)
+    def test_extended_within_1e_50_of_full_polish(self, family):
+        for n in (7, 24, 50):
+            spec = build_family(family, n)
+            with mpmath.workdps(EXTENDED_DPS):
+                rule = assemble(spec, extended=True)
+                for iv, riv in zip(spec.intervals, rule.intervals):
+                    free = iv.fixed_node is not None
+                    nodes, weights = _full_polish(iv, True)
+                    assert len(nodes) == len(riv.nodes[free:]) == iv.expected_free_nodes
+                    for x, y in zip(riv.nodes[free:], nodes):
+                        assert abs(x - y) <= 1e-50, (n, x, y)
+                    for w, v in zip(riv.weights[free:], weights):
+                        assert abs(w - v) <= 1e-50 * abs(v), (n, w, v)
+
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("s_terms", [[(0, 1), (1, 1)], [(0, 1)]])
+    def test_s_not_of_the_other_parity_raises(self, s_terms, extended):
+        # R = C_2 is even; S must be odd, and is mixed or even here
+        interval = IntervalSpec(
+            r=GegenbauerCombo.build(1.5, [(2, 1)]),
+            s=GegenbauerCombo.build(1.5, s_terms),
+            a=1, expected_free_nodes=2,
+        )
+        spec = FamilySpec(id=Family.C0_ODD, n=2, delta=0, intervals=(interval,))
+        with mpmath.workdps(EXTENDED_DPS):
+            with pytest.raises(AsymmetricSpec, match=r"C0_ODD n=2: R has degrees \[2\] of one parity"):
+                assemble(spec, extended=extended)
+
+    def test_mirrored_factor_is_even(self):
+        x = np.linspace(-1, 1, 41)
+        mirrored = set()
+        for family, n in itertools.chain(family_range(50), ((f, MAX_N) for f in Family)):
+            for iv in build_family(family, n).intervals:
+                if iv.expected_free_nodes and assembly._parity(iv.r) is not None:
+                    mirrored.add(family)
+                    f = iv.extra_weight_factor(x)
+                    assert np.array_equal(f, iv.extra_weight_factor(-x)), (family, n)
+        assert mirrored == set(SYMMETRIC)
+
+    @pytest.mark.parametrize("family, delta_sign", [
+        *((f, +1) for f in Family), (Family.C0_EVEN, -1),
+    ])
+    def test_polished_roots(self, family, delta_sign, monkeypatch):
+        # a symmetric interval polishes its nonnegative half; C0 even, of
+        # either delta sign, and C1 even polish every root
+        polished = []
+
+        def counting(r, x, found, tol):
+            polished.append(len(found.roots))
+            return polish(r, x, found, tol)
+
+        monkeypatch.setattr(assembly, "polish", counting)
+        for n in (5, 8):
+            spec = build_family(family, n, delta_sign=delta_sign)
+            polished.clear()
+            assemble(spec)
+            m = [iv.expected_free_nodes for iv in spec.intervals if iv.expected_free_nodes]
+            half = [k - k // 2 for k in m] if family in SYMMETRIC else m
+            assert polished == half, (n, polished)
 
 
 class TestDoubleRegression:

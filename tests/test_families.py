@@ -78,7 +78,7 @@ class TestC0Even:
     def test_minus_sign_flips_delta(self):
         plus = build_family(Family.C0_EVEN, 3, delta_sign=+1)
         minus = build_family(Family.C0_EVEN, 3, delta_sign=-1)
-        with mpmath.workdps(EXTENDED_DPS + GUARD_DIGITS):  # delta carries 55 digits
+        with mpmath.workdps(EXTENDED_DPS + GUARD_DIGITS):  # delta carries 60 digits
             assert minus.delta == -plus.delta
         assert plus.delta == pytest.approx(math.sqrt(5 / 3))
 
@@ -251,7 +251,7 @@ class TestFamilyInvariants:
                         paper = [(c0 + (c1 + c2 * x) * x) * gegenbauer(d, x)
                                  for d, (c0, c1, c2) in terms]
                         expanded = [c * gegenbauer(d, x) for d, c in iv.s.terms]
-                        # the constants with delta carry 55 digits
+                        # the constants with delta carry 60 digits
                         scale = sum(abs(t) for t in paper + expanded)
                         assert abs(sum(expanded) - sum(paper)) <= 1e-53 * scale, (family, n, x)
 
