@@ -277,7 +277,10 @@ def scale_to_unit_intervals(rule: ReferenceRule) -> ScaledRule:
 
 
 def replicate_periodically(rule: ScaledRule, copies: int):
-    """Tile the scaled rule over `copies` periods; returns sorted (node, weight) pairs."""
+    """Tile the scaled rule over `copies` periods; returns sorted (node, weight) pairs.
+
+    Nothing in the package calls it: it is the public way to apply a rule
+    over many intervals, as the README shows, and is kept for that."""
     if copies < 1:
         raise ValueError("copies must be >= 1")
     period = rule.period_intervals

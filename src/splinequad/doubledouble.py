@@ -11,6 +11,13 @@ of its operands, which is all a recurrence evaluation can use anyway.
 Plain Python or numpy numbers mixed into an expression are taken as
 exact doubles; values that are not (an exact rational, a 50-digit mpf)
 enter through :meth:`DD.of`.
+
+A Python int k with |k| < 2**26 is its own high half under Dekker's
+splitting, with a zero low part.  Multiplying or dividing by such an int
+(every constant of the Gegenbauer recurrence is one) skips its split and
+the products with that zero low part: the terms dropped are +-0, so the
+values are those of the general path.  Any other number, a bool or a
+numpy integer included, takes the general path.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from fractions import Fraction
 import mpmath
 
 _SPLITTER = 134217729.0  # 2**27 + 1
+_SMALL_INT = 2 ** 26  # an int below this in size splits into itself and 0
 
 
 def two_sum(a, b):
@@ -48,6 +56,17 @@ def two_prod(a, b):
     ah, al = _split(a)
     bh, bl = _split(b)
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _two_prod_small(a, k):
+    """two_prod for a Python int k with |k| < _SMALL_INT."""
+    p = a * k
+    ah, al = _split(a)
+    return p, (ah * k - p) + al * k
+
+
+def _is_small_int(value):
+    return type(value) is int and -_SMALL_INT < value < _SMALL_INT
 
 
 def _parts(value):
@@ -94,6 +113,9 @@ class DD:
         return -self + other
 
     def __mul__(self, other):
+        if _is_small_int(other):
+            p, e = _two_prod_small(self.hi, other)
+            return DD(*_fast_two_sum(p, e + self.lo * other))
         ohi, olo = _parts(other)
         p, e = two_prod(self.hi, ohi)
         return DD(*_fast_two_sum(p, e + (self.hi * olo + self.lo * ohi)))
@@ -101,6 +123,10 @@ class DD:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if _is_small_int(other):
+            q1 = self.hi / other
+            p, e = _two_prod_small(q1, other)
+            return DD(*_fast_two_sum(q1, ((self.hi - p) - e + self.lo) / other))
         ohi, olo = _parts(other)
         q1 = self.hi / ohi
         p, e = two_prod(q1, ohi)

@@ -16,10 +16,10 @@ C_n^(alpha) is the one-term combo ``GegenbauerCombo.build(alpha, [(n, 1)])``.
 Given several combos of one alpha, it evaluates them all from one run of
 the recurrence; the weights take R' and S from one such pass.  It is
 written generically: x may be a float, an mpmath mpf, a numpy array of
-floats (the root finder's bracket ends) or of mpf (the extended-precision
-polish), or a double-double array (:class:`splinequad.doubledouble.DD`,
-the Newton step every precision starts its polish with), and the same
-code path serves all of them.
+floats (the root finder's bracket ends and eigenvalues) or of mpf (the
+extended-precision polish), or a double-double array
+(:class:`splinequad.doubledouble.DD`, the Newton step every precision
+starts its polish with), and the same code path serves all of them.
 """
 
 from __future__ import annotations

@@ -25,7 +25,10 @@ as input and treats any other outcome as an error
 to its neighbours, with -1 and +1 at the ends, and R must change sign
 strictly across every bracket.  One Newton step from each eigenvalue,
 in double, takes it to within 8e-17 of the root at n = 50..200; the
-double-double polish in :mod:`splinequad.assembly` does the rest.
+double-double polish in :mod:`splinequad.assembly` does the rest.  As in
+a Gauss-Legendre code, R and R' come from one array evaluation for the
+whole interval, at the bracket ends and the eigenvalues together, so the
+step costs no recurrence of its own.
 
 Root finding runs in double only, in both precisions: the double roots
 and their brackets are the input of the one polish stage in
@@ -81,14 +84,17 @@ def _jacobi(p: GegenbauerCombo):
     return m, diag, beta
 
 
-def refine_root(p: GegenbauerCombo, x, bracket):
-    """One Newton step on p from x, an eigenvalue in its bracket, in double.
+def refine_root(x, f, df, bracket):
+    """One Newton step from x, an eigenvalue in its bracket, given the
+    values f = R(x) and df = R'(x); it evaluates nothing.
 
-    p is evaluated once.  If R' = 0 at x, or the step leaves the bracket,
-    x comes back unchanged: the polish in :mod:`splinequad.assembly`
-    checks every iterate against the same bracket.
+    If df = 0, or the step leaves the bracket, x comes back unchanged:
+    the polish in :mod:`splinequad.assembly` checks every iterate against
+    the same bracket.  The step is one scalar function, called once per
+    root, only because the benchmark's tracing (``perfbench/tracing.py``)
+    counts its calls as the refined free nodes; it can go once the
+    benchmark counts the roots of a :class:`RootSet` instead.
     """
-    f, df = eval_combo(p, x)
     xn = x - f / df if df else x
     return xn if bracket[0] <= xn <= bracket[1] else x
 
@@ -98,11 +104,15 @@ def isolate_and_refine(p: GegenbauerCombo, expected_count: int) -> RootSet:
 
     The roots start as the eigenvalues of p's Jacobi matrix, ascending.
     Each is bracketed by the midpoints to its neighbours, with -1 and +1
-    at the ends, and p is evaluated once at those expected_count + 1
-    points.  :class:`CountMismatch` is raised unless p's degree is
-    expected_count, the modified beta is positive and p changes sign
-    strictly across every bracket; then each root takes one Newton step
-    in its bracket, by :func:`refine_root`.
+    at the ends.  p and p' are evaluated once, as one array, at those
+    expected_count + 1 points and the expected_count eigenvalues.
+    :class:`CountMismatch` is raised unless p's degree is expected_count,
+    the modified beta is positive and p changes sign strictly across
+    every bracket; then each root takes one Newton step in its bracket,
+    by :func:`refine_root`, from the values already at hand.  numpy's
+    float64 arithmetic rounds each operation as Python's float does, so
+    the roots are those of a scalar evaluation at each eigenvalue, to the
+    bit.
     """
     if p.is_empty:
         raise ValueError("combo is identically zero")
@@ -119,13 +129,14 @@ def isolate_and_refine(p: GegenbauerCombo, expected_count: int) -> RootSet:
     # eigvalsh reads the lower triangle only
     lam = np.linalg.eigvalsh(np.diag(diag) + np.diag(np.sqrt(beta), -1))
     ends = np.concatenate(([-1.0], (lam[:-1] + lam[1:]) / 2, [1.0]))
-    values = eval_combo(pf, ends)[0]
+    values, derivs = eval_combo(pf, np.concatenate((ends, lam)))
     # only the last row differs from C_(m-1)'s Jacobi matrix, so the
     # eigenvalues interlace C_(m-1)'s roots: only the first and the last
     # can leave (-1, 1), and then their bracket has no sign change
-    if not (values[:-1] * values[1:] < 0).all():
+    if not (values[:m] * values[1:m + 1] < 0).all():
         raise CountMismatch(f"expected {m} roots in (-1, 1), eigenvalues {lam[0]} .. {lam[-1]}: "
                             f"R does not change sign across every bracket")
     brackets = tuple(zip(ends[:-1].tolist(), ends[1:].tolist()))
-    roots = map(refine_root, [pf] * m, lam.tolist(), brackets)
+    roots = map(refine_root, lam.tolist(), values[m + 1:].tolist(),
+                derivs[m + 1:].tolist(), brackets)
     return RootSet(roots=tuple(roots), brackets=brackets)

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from splinequad import doubledouble
 from splinequad.doubledouble import DD, two_prod, two_sum
 from splinequad.families import EXTENDED_DPS, Family, build_family
 from splinequad.gegenbauer import eval_combo
@@ -74,6 +75,50 @@ class TestArithmetic:
                 y = Fraction(float(b.hi[i])) + Fraction(float(b.lo[i]))
                 value = Fraction(float(got.hi[i])) + Fraction(float(got.lo[i]))
                 assert abs(value - exact(x, y)) <= bound * scale(x, y)
+
+
+    @staticmethod
+    def _operand():
+        rng = np.random.default_rng(15)
+        hi = _random_doubles(rng, 400)
+        return DD(hi, hi * rng.uniform(-1, 1, 400) * 2.0 ** -54)
+
+    @staticmethod
+    def _values(x):
+        return [Fraction(float(h)) + Fraction(float(lo)) for h, lo in zip(x.hi, x.lo)]
+
+    @pytest.fixture
+    def two_prod_calls(self, monkeypatch):
+        """The second operand of every two_prod call, recorded by a spy."""
+        calls = []
+
+        def spy(x, y):
+            calls.append(y)
+            return two_prod(x, y)
+
+        monkeypatch.setattr(doubledouble, "two_prod", spy)
+        return calls
+
+    @pytest.mark.parametrize("k", [1, 7, -13, 2 ** 26 - 1])
+    def test_small_int_operands(self, k, two_prod_calls):
+        # an int of at most 26 bits skips the split and two_prod: its
+        # products and quotients keep the exact-rational bound of the other
+        # operations, and equal those by a DD of the same value in value
+        a = self._operand()
+        products, quotients = a * k, a / k
+        assert two_prod_calls == []
+        bound = Fraction(1, 2 ** 103)
+        for x, p, q in zip(self._values(a), self._values(products), self._values(quotients)):
+            assert abs(p - x * k) <= bound * abs(x * k)
+            assert abs(q - x / k) <= bound * abs(x / k)
+        assert self._values(products) == self._values(a * DD(float(k)))
+        assert self._values(quotients) == self._values(a / DD(float(k)))
+
+    @pytest.mark.parametrize("k", [2 ** 26, np.int64(7), True], ids=["2**26", "int64", "bool"])
+    def test_other_numbers_take_the_general_path(self, k, two_prod_calls):
+        a = self._operand()
+        a * k, a / k
+        assert two_prod_calls == [k, k]
 
 
 class TestComboEvaluation:

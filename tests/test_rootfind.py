@@ -45,80 +45,53 @@ def _newton_step_60(combo, roots):
         return x - f / df
 
 
+def _step(p, x, bracket):
+    """refine_root from x, given R and R' evaluated at x alone."""
+    return refine_root(x, *eval_combo(p, x), bracket)
+
+
 class TestRefineRoot:
-    """One Newton step in double, from an eigenvalue in its bracket."""
+    """One Newton step in double, from an eigenvalue in its bracket, on
+    values of R and R' at hand."""
 
     def test_linear(self):
         # Newton is exact on a line, from any start
-        assert refine_root(LINEAR, 0.5, (-0.4, 0.9)) == pytest.approx(0.0, abs=1e-15)
+        assert _step(LINEAR, 0.5, (-0.4, 0.9)) == pytest.approx(0.0, abs=1e-15)
 
     def test_shifted_linear(self):
-        root = refine_root(SHIFTED, -0.9, (-1.0, 0.0))
+        root = _step(SHIFTED, -0.9, (-1.0, 0.0))
         assert root == pytest.approx(-0.5773502691896258, abs=1e-15)
 
     def test_order_five_halves_quadratic(self):
         # from 1e-12 off the root, as an eigenvalue is 2e-15 off
-        root = refine_root(ORDER52_QUAD, 0.3779644730092272 + 1e-12, (0.0, 1.0))
+        root = _step(ORDER52_QUAD, 0.3779644730092272 + 1e-12, (0.0, 1.0))
         assert root == pytest.approx(0.3779644730092272, abs=1e-15)
 
     def test_deterministic(self):
-        a = refine_root(QUADRATIC, 0.3, (0.1, 1.0))
-        b = refine_root(QUADRATIC, 0.3, (0.1, 1.0))
+        a = _step(QUADRATIC, 0.3, (0.1, 1.0))
+        b = _step(QUADRATIC, 0.3, (0.1, 1.0))
         assert a == b  # bit-identical
 
-    def test_one_evaluation_from_the_eigenvalue(self, monkeypatch):
+    def test_one_step_from_the_eigenvalue(self):
         # the eigenvalue is within a few ulps of the root, and one Newton
         # step takes it to the root
-        calls = []
-
-        def counting(p, x):
-            calls.append(x)
-            return eval_combo(p, x)
-
-        monkeypatch.setattr(rootfind, "eval_combo", counting)
-        assert refine_root(QUADRATIC, 0.7071067811865477, (0.0, 1.0)) == pytest.approx(
+        assert _step(QUADRATIC, 0.7071067811865477, (0.0, 1.0)) == pytest.approx(
             0.7071067811865476, abs=1e-16)
-        assert calls == [0.7071067811865477]
 
-    def test_one_evaluation_from_a_far_start(self, monkeypatch):
+    def test_one_step_from_a_far_start(self):
         # one step does not settle a root from 0.6, and no second follows
-        calls = []
-
-        def counting(p, x):
-            calls.append(x)
-            return eval_combo(p, x)
-
-        monkeypatch.setattr(rootfind, "eval_combo", counting)
-        x = refine_root(QUADRATIC, 0.6, (0.0, 1.0))
-        assert x == pytest.approx(0.6 - (30 * 0.36 - 15) / (60 * 0.6), rel=1e-15)
-        assert calls == [0.6]
+        x = _step(QUADRATIC, 0.6, (0.0, 1.0))
+        assert x == 0.6 - (30 * 0.36 - 15) / (60 * 0.6)
 
     def test_step_leaving_the_bracket_keeps_x(self):
         # from 0.3 the step lands at 0.98333.., outside (0.1, 0.9)
-        assert refine_root(QUADRATIC, 0.3, (0.1, 0.9)) == 0.3
-        assert refine_root(QUADRATIC, 0.3, (0.1, 1.0)) > 0.9
+        assert _step(QUADRATIC, 0.3, (0.1, 0.9)) == 0.3
+        assert _step(QUADRATIC, 0.3, (0.1, 1.0)) > 0.9
 
     def test_zero_derivative_keeps_x(self):
         # R' = 60 x vanishes at 0
-        assert refine_root(QUADRATIC, 0.0, (-0.5, 0.5)) == 0.0
-
-    def test_evaluates_only_inside_the_brackets(self, monkeypatch):
-        # the values at the bracket ends come from one array evaluation,
-        # so no scalar evaluation of the refinement lands on a bracket end
-        scalars = []
-
-        def recording(p, x):
-            if np.ndim(x) == 0:
-                scalars.append(x)
-            return eval_combo(p, x)
-
-        monkeypatch.setattr(rootfind, "eval_combo", recording)
-        ends = set()
-        for iv in build_family(Family.C0_EVEN, 24).intervals:
-            rs = isolate_and_refine(iv.r, iv.expected_free_nodes)
-            ends.update(x for bracket in rs.brackets for x in bracket)
-        assert scalars and len(ends) > 24
-        assert ends.isdisjoint(scalars)
+        assert _step(QUADRATIC, 0.0, (-0.5, 0.5)) == 0.0
+        assert refine_root(0.25, 1.0, 0.0, (0.0, 1.0)) == 0.25
 
 
 class TestIsolateAndRefine:
@@ -137,6 +110,53 @@ class TestIsolateAndRefine:
             for root in rs.roots:
                 res, der = eval_combo(combo, root)
                 assert abs(res) <= 1e-10 * max(1.0, abs(der))
+
+    def test_one_array_evaluation_per_interval(self, monkeypatch):
+        # R and R' at the bracket ends and the eigenvalues come from one
+        # array evaluation per interval; the Newton steps evaluate nothing
+        calls = []
+
+        def recording(p, x):
+            calls.append(x)
+            return eval_combo(p, x)
+
+        monkeypatch.setattr(rootfind, "eval_combo", recording)
+        sizes = []
+        for family in Family:
+            for iv in build_family(family, 24).intervals:
+                if iv.expected_free_nodes:
+                    rs = isolate_and_refine(iv.r, iv.expected_free_nodes)
+                    sizes.append(2 * len(rs.roots) + 1)
+        assert len(calls) == len(sizes) > len(Family)
+        assert all(isinstance(x, np.ndarray) for x in calls)
+        assert [x.size for x in calls] == sizes
+
+    @pytest.mark.parametrize("n", ["min_n", 24, 80, MAX_N])
+    def test_roots_equal_a_scalar_newton_step(self, n, monkeypatch):
+        # every interval of every family: each root is the eigenvalue taken
+        # one Newton step on R and R' evaluated at it alone, in Python
+        # floats, kept when R' = 0 or the step leaves the bracket; to the bit
+        steps = []
+
+        def recording(x, f, df, bracket):
+            steps.append((x, bracket))
+            return refine_root(x, f, df, bracket)
+
+        monkeypatch.setattr(rootfind, "refine_root", recording)
+        for family in Family:
+            for iv in build_family(family, family.min_n if n == "min_n" else n).intervals:
+                if not iv.expected_free_nodes:
+                    continue
+                steps.clear()
+                rs = isolate_and_refine(iv.r, iv.expected_free_nodes)
+                assert [b for _, b in steps] == list(rs.brackets)
+                expected = []
+                for x, (lo, hi) in steps:
+                    f, df = eval_combo(iv.r.map(float), x)
+                    xn = x - f / df if df else x
+                    expected.append(xn if lo <= xn <= hi else x)
+                assert all(type(x) is float for x in rs.roots), family
+                assert list(rs.roots) == expected, family
 
     def test_high_degree_count(self):
         combo = GegenbauerCombo.build(1.5, [(50, 1)])
