@@ -25,6 +25,13 @@ for both C0 odd intervals and the C1 odd intervals, not for C0 even or
 C1 even, whose R mixes parities.  An R of one parity with an S of any
 other parity is a formula bug and raises :class:`AsymmetricSpec`.
 
+A rule holds each interval's nodes and weights as two 1-D read-only
+numpy arrays, as ``numpy.polynomial.legendre.leggauss`` returns them:
+float64 in double, an object array of mpf in extended precision.  Every
+step past the free-node stage (the fixed endpoint node, the mirror, the
+reflected interval and the scaling) is an array operation, with the
+same IEEE or mpf operations in the same order as one value at a time.
+
 Two presentations are produced:
 
 * :class:`ReferenceRule` - nodes in [-1, 1] per interval of the period,
@@ -63,8 +70,26 @@ class AsymmetricSpec(Exception):
 
 @dataclass(frozen=True)
 class RuleInterval:
-    nodes: tuple
-    weights: tuple
+    """Nodes ascending and their weights, as 1-D read-only arrays: float64
+    in a double rule, object arrays of mpf in an extended one.  Any
+    sequence given is copied into such an array, so an interval owns its
+    values.  Two intervals are equal when their values are; an interval,
+    like the rules that hold it, is not hashable."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        for name in ("nodes", "weights"):
+            values = np.array(getattr(self, name))
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+
+    def __eq__(self, other):
+        if not isinstance(other, RuleInterval):
+            return NotImplemented
+        return (np.array_equal(self.nodes, other.nodes)
+                and np.array_equal(self.weights, other.weights))
 
 
 @dataclass(frozen=True)
@@ -119,10 +144,10 @@ def _plain(v):
     return v.rounded() if isinstance(v, DD) else v
 
 
-def _rounded(v) -> list:
-    """A double-double array rounded to floats, or mpf values rounded to
+def _rounded(v) -> np.ndarray:
+    """A double-double array rounded to float64, or mpf values rounded to
     the precision current at this call: the one rounding of an output."""
-    return v.rounded().tolist() if isinstance(v, DD) else [mpmath.mpf(y) for y in v]
+    return v.rounded() if isinstance(v, DD) else np.array([mpmath.mpf(y) for y in v], dtype=object)
 
 
 def _raise_at(bad, xs, error, what):
@@ -155,10 +180,10 @@ def polish(r: GegenbauerCombo, x, found: RootSet, tol):
                        f"at x={_plain(x)[np.argmax(unsettled)]}")
 
 
-def _reflected(nodes, weights) -> RuleInterval:
+def _reflected(nodes, weights) -> tuple:
     """Nodes negated and, with their weights, listed in reverse: the
     mirror image at 0 of ascending nodes, ascending again."""
-    return RuleInterval(tuple(-x for x in nodes[::-1]), tuple(weights[::-1]))
+    return -nodes[::-1], weights[::-1]
 
 
 def _parity(combo):
@@ -168,7 +193,7 @@ def _parity(combo):
 
 
 def _free(iv, extended: bool) -> tuple:
-    """Free nodes and weights of one interval.
+    """Free nodes and weights of one interval, as two arrays.
 
     The roots are found in double, as the eigenvalues of R's Jacobi
     matrix each taken one Newton step, then polished by one double-double
@@ -221,41 +246,40 @@ def _free(iv, extended: bool) -> tuple:
         raise AsymmetricSpec(f"R has degrees {sorted(d for d, _ in iv.r.terms)} of one parity, "
                              f"S degrees {sorted(d for d, _ in iv.s.terms)} not of the other")
     odd = iv.expected_free_nodes % 2  # then the middle root 0 is not mirrored
-    mirror = _reflected(nodes[odd:], weights[odd:])
-    return [*mirror.nodes, *nodes], [*mirror.weights, *weights]
+    mirror_nodes, mirror_weights = _reflected(nodes[odd:], weights[odd:])
+    return np.concatenate((mirror_nodes, nodes)), np.concatenate((mirror_weights, weights))
 
 
 def assemble(spec: FamilySpec, extended: bool = False) -> ReferenceRule:
     """Compute nodes and weights for every interval of the spec's period.
 
-    Nodes and weights are floats, or mpf values rounded to the current
-    precision when ``extended`` is set; :func:`_free` takes the free nodes
-    to that precision, and the fixed nodes and delta are converted to its
-    number type here.  Fixed endpoint nodes keep their
-    closed-form weights and are listed first (they sit at the interval's
-    left end).  For the reflected second interval of the C1 even family,
+    Nodes and weights are float64 arrays, or object arrays of mpf values
+    rounded to the current precision when ``extended`` is set;
+    :func:`_free` takes the free nodes to that precision, and the fixed
+    nodes and delta are converted to its number type here.  Fixed
+    endpoint nodes keep their closed-form weights and are listed first
+    (they sit at the interval's left end).  For the reflected second interval of the C1 even family,
     the first interval's free nodes are negated and, with their weights,
     listed in reverse, so they ascend again.
     """
-    real = _mpf if extended else float
+    real, dtype = (_mpf, object) if extended else (float, float)
     intervals = []
     for iv in spec.intervals:
-        nodes, weights = [], []
+        nodes = weights = np.empty(0, dtype)
         if iv.fixed_node is not None:
-            nodes.append(real(iv.fixed_node[0]))
-            weights.append(real(iv.fixed_node[1]))
+            nodes, weights = (np.array([real(v)], dtype) for v in iv.fixed_node)
         if iv.expected_free_nodes > 0:
             try:
                 free_nodes, free_weights = _free(iv, extended)
             except (AsymmetricSpec, CountMismatch, DegenerateWeight, PolishFailed) as exc:
                 raise type(exc)(f"{spec.id.name} n={spec.n}: {exc}") from exc
-            nodes += free_nodes
-            weights += free_weights
-        intervals.append(RuleInterval(tuple(nodes), tuple(weights)))
+            nodes = np.concatenate((nodes, free_nodes))
+            weights = np.concatenate((weights, free_weights))
+        intervals.append(RuleInterval(nodes, weights))
     if spec.second_interval_by_reflection:
         skip = 0 if spec.intervals[0].fixed_node is None else 1
         first = intervals[0]
-        intervals.append(_reflected(first.nodes[skip:], first.weights[skip:]))
+        intervals.append(RuleInterval(*_reflected(first.nodes[skip:], first.weights[skip:])))
     return ReferenceRule(
         family=spec.id, n=spec.n, degree=spec.id.degree(spec.n),
         intervals=tuple(intervals), delta=real(spec.delta),
@@ -264,30 +288,28 @@ def assemble(spec: FamilySpec, extended: bool = False) -> ReferenceRule:
 
 def scale_to_unit_intervals(rule: ReferenceRule) -> ScaledRule:
     """Map interval k from [-1, 1] to [k, k+1]; weights scale by 1/2."""
-    scaled = []
-    for k, iv in enumerate(rule.intervals):
-        scaled.append(RuleInterval(
-            tuple(k + (x + 1) / 2 for x in iv.nodes),
-            tuple(w / 2 for w in iv.weights),
-        ))
+    scaled = tuple(RuleInterval(k + (iv.nodes + 1) / 2, iv.weights / 2)
+                   for k, iv in enumerate(rule.intervals))
     return ScaledRule(
         family=rule.family, n=rule.n, degree=rule.degree,
-        intervals=tuple(scaled), delta=rule.delta,
+        intervals=scaled, delta=rule.delta,
     )
 
 
 def replicate_periodically(rule: ScaledRule, copies: int):
     """Tile the scaled rule over `copies` periods; returns sorted (node, weight) pairs.
 
+    Copy j shifts the period's nodes by j periods; a stable sort by node
+    keeps equal nodes in copy order, then interval order.  The pairs hold
+    Python floats in a double rule, mpf values in an extended one.
+
     Nothing in the package calls it: it is the public way to apply a rule
     over many intervals, as the README shows, and is kept for that."""
     if copies < 1:
         raise ValueError("copies must be >= 1")
-    period = rule.period_intervals
-    out = []
-    for j in range(copies):
-        shift = j * period
-        for iv in rule.intervals:
-            out.extend((x + shift, w) for x, w in zip(iv.nodes, iv.weights))
-    out.sort(key=lambda pair: pair[0])
-    return out
+    nodes = np.concatenate([iv.nodes for iv in rule.intervals])
+    weights = np.concatenate([iv.weights for iv in rule.intervals])
+    shifts = (np.arange(copies) * rule.period_intervals).astype(nodes.dtype)
+    tiled = (nodes + shifts[:, None]).ravel()
+    order = np.argsort(tiled, kind="stable")
+    return list(zip(tiled[order].tolist(), np.tile(weights, copies)[order].tolist()))

@@ -132,6 +132,7 @@ def check_exactness(rule: ScaledRule, degree: int | None = None) -> ExactnessRep
     span_count = COPIES * rule.period_intervals
     knots = _knots(degree, continuity, span_count)
     num_basis = len(knots) - degree - 1
+    # copies as float64: the rule's arrays are read-only, and NaN goes into these
     cells = [(k, np.array(iv.nodes, dtype=float), np.array(iv.weights, dtype=float)[:, None])
              for k, iv in enumerate(rule.intervals)]
     for k, x, _ in cells:
@@ -198,8 +199,8 @@ def load_golden_tables() -> dict:
 def compare_golden(rule: ScaledRule, golden: GoldenRule) -> float:
     """Max positional deviation (nodes and weights) against a reference
     table; NaN if any node or weight is NaN."""
-    gen = [(float(x), float(w))
-           for iv in rule.intervals for x, w in zip(iv.nodes, iv.weights)]
+    gen = np.concatenate([np.column_stack((iv.nodes, iv.weights))
+                          for iv in rule.intervals]).astype(float)
     ref = [(float(x), float(w)) for x, w in golden.entries]
     if len(gen) != len(ref):
         raise EntryCountMismatch(

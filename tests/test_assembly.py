@@ -1,6 +1,10 @@
+import collections
+import dataclasses
+import gc
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -50,7 +54,7 @@ class TestAssemble:
         rule = assemble(build_family(Family.C0_ODD, 1))
         assert rule.intervals[0].nodes == pytest.approx((0.0,), abs=1e-15)
         assert rule.intervals[0].weights == pytest.approx((4.0,), rel=1e-14)
-        assert rule.intervals[1].nodes == ()
+        assert rule.intervals[1].nodes.tolist() == []
 
     def test_c1_endpoint_n2_closed_form(self):
         rule = assemble(build_family(Family.C1_ODD_ENDPOINT, 2))
@@ -70,13 +74,13 @@ class TestAssemble:
         first, second = rule.intervals
         free = list(zip(first.nodes[1:], first.weights[1:]))
         mirrored = sorted((-x, w) for x, w in free)
-        assert second.nodes == tuple(x for x, _ in mirrored)
-        assert second.weights == tuple(w for _, w in mirrored)
+        assert second.nodes.tolist() == [x for x, _ in mirrored]
+        assert second.weights.tolist() == [w for _, w in mirrored]
 
     def test_c1_interior_midpoint_limit(self):
         rule = assemble(build_family(Family.C1_ODD_INTERIOR, 1))
-        assert rule.intervals[0].nodes == (0.0,)
-        assert rule.intervals[0].weights == (2.0,)
+        assert rule.intervals[0].nodes.tolist() == [0.0]
+        assert rule.intervals[0].weights.tolist() == [2.0]
 
     def test_weight_sum_is_two_per_interval(self):
         for family, n in family_range(10):
@@ -166,6 +170,111 @@ class TestReplication:
         with pytest.raises(ValueError):
             replicate_periodically(cached_rule(Family.C0_ODD, 1), 0)
 
+    @pytest.mark.parametrize("precision", ["double", "extended"])
+    @pytest.mark.parametrize("family", list(Family))
+    def test_same_pairs_as_a_loop(self, family, precision):
+        # the reference: copy by copy, interval by interval, node by node,
+        # then Python's stable sort by node
+        rule = build_rule(family, 6, precision=precision)
+        with mpmath.workdps(EXTENDED_DPS):
+            expected = [(x + j * rule.period_intervals, w) for j in range(3)
+                        for iv in rule.intervals for x, w in zip(iv.nodes, iv.weights)]
+            expected.sort(key=lambda pair: pair[0])
+            pairs = replicate_periodically(rule, 3)
+        assert pairs == expected
+        real = float if precision == "double" else mpmath.mpf
+        assert all(type(x) is real and type(w) is real for x, w in pairs)
+
+
+def _held_bytes(make):
+    """What make() returns, and the bytes allocated by it that are still
+    held once it returns, by tracemalloc."""
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = make()
+        gc.collect()
+        return held, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestRepresentation:
+    def test_dtypes(self):
+        double = build_rule(Family.C0_ODD, 1)
+        extended = build_rule(Family.C0_ODD, 1, precision="extended")
+        # the second interval of C0 odd n = 1 holds no node
+        assert [len(iv.nodes) for iv in extended.intervals] == [1, 0]
+        for iv in double.intervals:
+            assert iv.nodes.dtype == iv.weights.dtype == np.float64
+        for iv in extended.intervals + assemble(build_family(Family.C1_EVEN, 4), extended=True).intervals:
+            assert iv.nodes.dtype == iv.weights.dtype == object
+            assert all(type(v) is mpmath.mpf for v in [*iv.nodes, *iv.weights])
+        for iv in cached_rule(Family.C1_EVEN, 4).intervals:
+            assert iv.nodes.ndim == iv.weights.ndim == 1
+
+    @pytest.mark.parametrize("precision", ["double", "extended"])
+    def test_read_only(self, precision):
+        iv = build_rule(Family.C1_EVEN, 4, precision=precision).intervals[0]
+        for values in (iv.nodes, iv.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = values[1]
+
+    @pytest.mark.parametrize("precision", ["double", "extended"])
+    def test_equal_by_value(self, precision):
+        a = build_rule(Family.C0_ODD, 5, precision=precision)
+        b = build_rule(Family.C0_ODD, 5, precision=precision)
+        assert a.intervals[0].nodes is not b.intervals[0].nodes
+        assert a == b and not a != b
+        # negative control: one weight one ulp up, at the rule's precision
+        iv = b.intervals[1]
+        weights = list(iv.weights)
+        with mpmath.workdps(EXTENDED_DPS):
+            w = weights[2]
+            weights[2] = (np.nextafter(w, np.inf) if precision == "double"
+                          else w + mpmath.ldexp(1, mpmath.mag(w) - mpmath.mp.prec))
+            assert weights[2] != w
+        bumped = dataclasses.replace(b, intervals=(b.intervals[0], dataclasses.replace(iv, weights=weights)))
+        assert bumped != a and not bumped == a
+        assert bumped.intervals[1] != iv
+
+    def test_not_hashable(self):
+        rule = cached_rule(Family.C0_ODD, 3)
+        for obj in (rule, rule.intervals[0]):
+            with pytest.raises(TypeError):
+                hash(obj)
+
+    def test_replace_with_a_tuple_gives_an_array(self):
+        iv = cached_rule(Family.C0_ODD, 3).intervals[0]
+        zero = dataclasses.replace(iv, weights=(0.0,) * len(iv.weights))
+        assert isinstance(zero.weights, np.ndarray) and zero.weights.dtype == np.float64
+        assert not zero.weights.flags.writeable
+        assert zero.weights.tolist() == [0.0] * len(iv.weights)
+        assert zero.nodes.tolist() == iv.nodes.tolist()
+
+    def test_given_array_is_copied(self):
+        values = np.array([0.25, 0.75])
+        iv = assembly.RuleInterval(values, values)
+        values[0] = 0.5
+        assert iv.nodes.tolist() == [0.25, 0.75] and values.flags.writeable
+
+    def test_held_size_of_a_double_rule(self):
+        # a held double rule costs 8 bytes per value plus a fixed amount
+        # (about 1.8 KB: the rule, its intervals and array headers); the
+        # values as Python floats in tuples, about 32 bytes each, fail it
+        build_rule(Family.C0_ODD, 80)  # whatever a build caches stays out
+        rule, size = _held_bytes(lambda: build_rule(Family.C0_ODD, 80))
+        values = sum(len(iv.nodes) + len(iv.weights) for iv in rule.intervals)
+        assert values == 318
+        bound = 12 * values + 3072
+        assert size < bound, (size, bound)
+        _, tuples = _held_bytes(lambda: tuple_view(rule.intervals))
+        assert tuples > bound, (tuples, bound)
+
 
 class TestExtendedPrecision:
     def test_matches_double_build(self):
@@ -226,7 +335,7 @@ class TestExtendedPrecision:
                 # computed with guard digits, each value rounded to 50
                 prec = mpmath.mp.prec
             for iv in rule.intervals:
-                assert all(v._mpf_[3] <= prec for v in iv.nodes + iv.weights)
+                assert all(v._mpf_[3] <= prec for v in [*iv.nodes, *iv.weights])
             with monkeypatch.context() as patched:
                 patched.setattr(families, "EXTENDED_DPS", 90)
                 reference_spec = build_family(family, n)
@@ -336,8 +445,8 @@ class TestMirror:
             for iv, riv in zip(spec.intervals, assemble(spec).intervals):
                 if iv.expected_free_nodes:
                     free = iv.fixed_node is not None
-                    assert (riv.nodes[free:], riv.weights[free:]) == \
-                        tuple(map(tuple, _full_polish(iv, False))), n
+                    assert (riv.nodes[free:].tolist(), riv.weights[free:].tolist()) == \
+                        _full_polish(iv, False), n
 
     @pytest.mark.parametrize("family", SYMMETRIC)
     def test_extended_within_1e_50_of_full_polish(self, family):
@@ -401,10 +510,21 @@ class TestMirror:
             assert polished == half, (n, polished)
 
 
+# a rule's intervals as tuples of floats, whose repr is, byte for byte, the
+# repr the rules had when they held their values in tuples
+TupleInterval = collections.namedtuple("RuleInterval", ["nodes", "weights"])
+
+
+def tuple_view(intervals):
+    return tuple(TupleInterval(tuple(iv.nodes.tolist()), tuple(iv.weights.tolist()))
+                 for iv in intervals)
+
+
 class TestDoubleRegression:
-    # SHA-256 of repr(rule.intervals) for n = min_n..50, concatenated per
-    # family.  A change that moves any double output by one bit fails
-    # here; update the digests only for a change meant to move outputs
+    # SHA-256 of repr(tuple_view(rule.intervals)) for n = min_n..50,
+    # concatenated per family.  A change that moves any double output by
+    # one bit fails here; update the digests only for a change meant to
+    # move outputs
     DIGESTS = {
         Family.C0_ODD: "7d78e267e871975a166c2dd331b2afc383af69b2e1d725bb1262443f4de8273b",
         Family.C0_EVEN: "cc8b9d2e353a477521ef8066f4a479da024bca7fc0a2eab320e969df1d925b18",
@@ -417,5 +537,5 @@ class TestDoubleRegression:
     def test_double_rules_bit_identical(self, family):
         digest = hashlib.sha256()
         for n in range(family.min_n, 51):
-            digest.update(repr(cached_rule(family, n).intervals).encode())
+            digest.update(repr(tuple_view(cached_rule(family, n).intervals)).encode())
         assert digest.hexdigest() == self.DIGESTS[family]

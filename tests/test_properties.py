@@ -42,4 +42,4 @@ def test_double_rule_properties(drawn):
         second = rule.intervals[1]
         assert second.nodes == pytest.approx(
             [2 - x for x in reversed(first.nodes[1:])], abs=1e-15)
-        assert second.weights == tuple(reversed(first.weights[1:]))
+        assert second.weights.tolist() == first.weights[:0:-1].tolist()

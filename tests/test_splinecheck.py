@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from splinequad import splinecheck
-from splinequad.catalog import rule_id
+from splinequad.catalog import build_rule, rule_id
 from splinequad.families import Family
 from splinequad.splinecheck import (
     EntryCountMismatch,
@@ -310,6 +310,12 @@ class TestGolden:
         for rid in ("C0xD5", "C1xD7", "C1xD7x2", "C1xD8"):
             g = tables[rid]
             assert compare_golden(cached_rule(g.family, g.n), g) <= 1e-13
+
+    def test_extended_rule_compares_as_doubles(self):
+        # the mpf values are rounded to double, as the double build is
+        g = load_golden_tables()["C1xD7x2"]
+        extended = build_rule(g.family, g.n, precision="extended")
+        assert compare_golden(extended, g) <= 1e-15
 
     def test_entry_count_mismatch(self):
         g = load_golden_tables()["C0xD5"]
