@@ -2,28 +2,28 @@
 
 :func:`assemble` reads a :class:`~splinequad.families.FamilySpec`: per
 interval, the free nodes are the roots of R (found by the root finder),
-listed after any fixed endpoint node, and their weights come straight
-from the closed-form denominators A / (R'(x) S(x) f(x)) with the
-interval's own factor function f, never from solving a linear system.
-The rule's degree is its family's ``degree(n)``.
+listed after any fixed endpoint node, and their weights are the
+Christoffel numbers of R's Jacobi matrix over the Gegenbauer weight
+function, K / (C_(m-1)(x) R'(x) (1 - x^2)^(alpha - 1/2)) with the
+interval's constant K, never from solving a linear system.  The rule's
+degree is its family's ``degree(n)``.
 
 Both precisions run one free-node stage (:func:`_free`): one
-double-double Newton step polishes the double roots, R' and S are
+double-double Newton step polishes the double roots, R' and C_(m-1) are
 evaluated at the polished nodes from one recurrence, and each node and
 weight is rounded once at the end.  Extended rules differ in one step:
 the double-double nodes are lifted into numpy object arrays of mpf with
-10 guard digits, and Newton continues there before R' and S are
+10 guard digits, and Newton continues there before R' and C_(m-1) are
 evaluated.  :func:`polish` and the rounding read the number type from
 the arrays they are given.
 
-Where every term of an interval's R has one parity and every term of S
-the other, the interval is symmetric about 0: its nodes come in pairs
-+-x with equal weights.  The stage then polishes and weighs only the
-nonnegative half of the roots and mirrors it, as Gauss-Legendre codes
-do.  The parity is read from the spec, never from the family; it holds
-for both C0 odd intervals and the C1 odd intervals, not for C0 even or
-C1 even, whose R mixes parities.  An R of one parity with an S of any
-other parity is a formula bug and raises :class:`AsymmetricSpec`.
+Where every term of an interval's R has one parity, the interval is
+symmetric about 0: its nodes come in pairs +-x with equal weights, since
+C_(m-1) R' and the weight function are even.  The stage then polishes
+and weighs only the nonnegative half of the roots and mirrors it, as
+Gauss-Legendre codes do.  The parity is read from R, never from the
+family; it holds for both C0 odd intervals and the C1 odd intervals,
+not for C0 even or C1 even, whose R mixes parities.
 
 A rule holds each interval's nodes and weights as two 1-D read-only
 numpy arrays, as ``numpy.polynomial.legendre.leggauss`` returns them:
@@ -52,7 +52,7 @@ import numpy as np
 
 from .doubledouble import DD
 from .families import GUARD_DIGITS, Family, FamilySpec
-from .gegenbauer import GegenbauerCombo, eval_combo
+from .gegenbauer import GegenbauerCombo, eval_combo, weight_function
 from .rootfind import CountMismatch, RootSet, isolate_and_refine
 
 
@@ -62,10 +62,6 @@ class DegenerateWeight(Exception):
 
 class PolishFailed(Exception):
     """Newton in the working arithmetic did not settle a double root."""
-
-
-class AsymmetricSpec(Exception):
-    """R has one parity but S does not have the other: a formula bug."""
 
 
 @dataclass(frozen=True)
@@ -199,11 +195,10 @@ def _free(iv, extended: bool) -> tuple:
     matrix each taken one Newton step, then polished by one double-double
     Newton step.  For extended, the nodes are lifted into mpf and Newton
     continues there with guard digits; this is the stage's one precision
-    branch.  The weight A / (R'(x) S(x) f(x)) is so sensitive to x near
-    +-1 that even the double root (within about an ulp, 1.3e-16 at most
-    for n <= 200) changes it by up to 1.3e-9 relative at n = 80 and
-    1.9e-7 at n = 200, and S cancels there too.  So
-    R' and S are evaluated at the polished nodes in the same arithmetic,
+    branch.  The weight K / (C_(m-1)(x) R'(x) (1 - x^2)^(alpha - 1/2)) is
+    so sensitive to x near +-1 that even the double root (within about
+    an ulp) would move it far past an ulp of the weight.  So R' and
+    C_(m-1) are evaluated at the polished nodes in the same arithmetic,
     both from one recurrence, and each node and weight is rounded once,
     at the end.
 
@@ -211,40 +206,36 @@ def _free(iv, extended: bool) -> tuple:
     0, and only the nonnegative ones are polished and weighed, the middle
     root 0 included when their number is odd.  The strictly positive
     ones, mirrored, give the rest, so mirror pairs agree exactly in both
-    arithmetics.  The weights are symmetric when S has the other parity,
-    as R' does (f is even wherever this holds); an S that does not
-    raises :class:`AsymmetricSpec`, after the weights' own checks.
+    arithmetics.  The weights are symmetric too: C_(m-1) R' and the
+    weight function are even.
     """
     parity = _parity(iv.r)
     found = isolate_and_refine(iv.r, iv.expected_free_nodes)
     if parity is not None:
         half = iv.expected_free_nodes // 2
         found = RootSet(found.roots[half:], found.brackets[half:])
-    r, s, a = iv.r.map(DD.of), iv.s.map(DD.of), DD.of(iv.a.numerator)
+    alpha, m = iv.r.alpha, max(d for d, _ in iv.r.terms)
+    c_prev = GegenbauerCombo.build(alpha, [(m - 1, 1)])
+    r, k = iv.r.map(DD.of), DD.of(iv.weight_constant)
     x = polish(r, DD(np.array(found.roots)), found, REFINE_TOL)
     with contextlib.ExitStack() as working:
         if extended:
             tol = mpf_polish_tol(mpmath.mp.dps)
             working.enter_context(mpmath.workdps(mpmath.mp.dps + GUARD_DIGITS))
-            # S's Fraction constants become mpf once, not at every node
-            r, s, a = iv.r, iv.s.map(_mpf), iv.a.numerator
+            r, k = iv.r, _mpf(iv.weight_constant)
             # hi + lo is exact at the working precision
             x = np.array([mpmath.mpf(h) + lo
                           for h, lo in zip(*np.broadcast_arrays(x.hi, x.lo))], dtype=object)
             x = polish(r, x, found, tol)
-        (_, rder), (sval, _) = eval_combo((r, s), x)
-        denom = rder * sval * iv.extra_weight_factor(x)
+        (_, rder), (cval, _) = eval_combo((r, c_prev), x)
+        denom = cval * rder * weight_function(alpha, x)
         size = np.abs(_plain(denom))
         _raise_at(~((size > 1e-300) & (size < np.inf)), _plain(x),
                   DegenerateWeight, "denominator ~ 0")
-        # A is exact (int or Fraction): its numerator enters unrounded
-        weights = a / (iv.a.denominator * denom)
+        weights = k / denom
     nodes, weights = _rounded(x), _rounded(weights)
     if parity is None:
         return nodes, weights
-    if _parity(iv.s) != 1 - parity:
-        raise AsymmetricSpec(f"R has degrees {sorted(d for d, _ in iv.r.terms)} of one parity, "
-                             f"S degrees {sorted(d for d, _ in iv.s.terms)} not of the other")
     odd = iv.expected_free_nodes % 2  # then the middle root 0 is not mirrored
     mirror_nodes, mirror_weights = _reflected(nodes[odd:], weights[odd:])
     return np.concatenate((mirror_nodes, nodes)), np.concatenate((mirror_weights, weights))
@@ -271,7 +262,7 @@ def assemble(spec: FamilySpec, extended: bool = False) -> ReferenceRule:
         if iv.expected_free_nodes > 0:
             try:
                 free_nodes, free_weights = _free(iv, extended)
-            except (AsymmetricSpec, CountMismatch, DegenerateWeight, PolishFailed) as exc:
+            except (CountMismatch, DegenerateWeight, PolishFailed) as exc:
                 raise type(exc)(f"{spec.id.name} n={spec.n}: {exc}") from exc
             nodes = np.concatenate((nodes, free_nodes))
             weights = np.concatenate((weights, free_weights))

@@ -3,28 +3,38 @@
 :func:`build_family` is the one way to build a spec.  It checks the
 family, n and the delta sign, then runs the family's private formula
 function at EXTENDED_DPS + GUARD_DIGITS digits.  The guard digits matter:
-S cancels near +-1, and that cancellation magnifies the rounding error of
-every coefficient that involves delta into the weights.  The weight is
-also sensitive to its node (|d log w / dx| reaches 3.4e9 at n = 200), so
-the extended polish in :mod:`splinequad.assembly` runs with the same
-guard digits.  Against a spec and assembly at 110 digits, the 50-digit
-C1 odd interior weights at n = 200 were off by 5e-44 relative with the
-spec at exactly 50 digits and by 3e-48 with 5 guard digits; with 10, the
-weights of every family are within 1.3e-51.
+the weight is sensitive to its node (|d log w / dx| reaches 1.1e6 at
+n = 200, C0 even), so the node carries about six digits fewer into its
+weight; the extended polish in :mod:`splinequad.assembly` runs with the
+same guard digits.  Against a spec and assembly at 110 digits, the
+50-digit weights at n = 200 were off by up to 5.6e-46 relative with both
+at exactly 50 digits and by 6.0e-51 with 5 guard digits; with 10, every
+family's are within 1.3e-51.
 
 The result is a :class:`FamilySpec`: the family, n, delta, and per
 interval of the period an :class:`IntervalSpec` holding the polynomial R
 whose roots are the free nodes (a combination of Gegenbauer
-polynomials with constant coefficients), the companion polynomial S of
-the weight denominator (where the paper writes x C_d or (1 + x^2) C_d,
-expanded into such terms by :func:`splinequad.gegenbauer.times_x`), the
-normalization constant A, an optional fixed endpoint node with its
-closed-form weight, the extra denominator factor f (a function of x),
-and the number of free nodes.  The weights of the free nodes are
-A / (R'(x) S(x) f(x)).  The C1 even spec lists
-its first interval only: the second is the first's free part reflected
-at 0.  That is all :func:`splinequad.assembly.assemble` reads; the
-degree and the period length follow from the family and the intervals.
+polynomials with constant coefficients), the number of free nodes, an
+optional fixed endpoint node with its closed-form weight, and the
+constant K of the free weights.  The C1 even spec lists its first
+interval only: the second is the first's free part reflected at 0.
+That is all :func:`splinequad.assembly.assemble` reads; the degree and
+the period length follow from the family and the intervals.
+
+Every R is a C_m, or C_m plus a multiple of C_(m-1) or C_(m-2), all of
+order alpha: a quasi-orthogonal Gegenbauer polynomial (Chihara, Proc.
+AMS 8, 1957).  Its roots are the eigenvalues of a Jacobi matrix that
+differs from C_m's in the last row only, and the paper's weights of its
+free nodes are that matrix's Gauss-type weights (Golub & Welsch, Math.
+Comp. 23, 1969) over the weight function of the C_k:
+
+    w(x) = K / (C_(m-1)(x) R'(x) (1 - x^2)^(alpha - 1/2)),
+
+by Christoffel-Darboux, with K from R alone (:func:`_weight_constant`).
+The paper writes them A / (R'(x) S(x) f(x)), with a second polynomial S,
+a constant A and a factor f per family; at 110 digits the two agree to
+1.3e-105 relative in every family at n = 2, 3, 24 and 50
+(``tests/paper.py`` keeps the paper's form as a test reference).
 
 Everything is stated in the reference interval [-1, 1]; scaling to unit
 intervals happens in :mod:`splinequad.assembly`.
@@ -46,13 +56,13 @@ from __future__ import annotations
 
 import enum
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 import mpmath
 
-from .gegenbauer import GegenbauerCombo, times_x
+from .gegenbauer import GegenbauerCombo, last_row, monic_beta, squared_norm
 
 # dps of the extended-precision rules
 EXTENDED_DPS = 50
@@ -63,23 +73,6 @@ GUARD_DIGITS = 10
 
 # largest supported n in every family, in both precisions
 MAX_N = 200
-
-
-# Extra factors f(x) multiplying R'(x) * S(x) in the weight denominators.
-# Products only, no powers: they also evaluate on double-double arrays.
-def no_extra_factor(x):
-    """f(x) = 1."""
-    return 1
-
-
-def c1_endpoint_factor(x):
-    """f(x) = (1 - x^2)^2, the C1 odd endpoint family."""
-    return (1 - x * x) * (1 - x * x)
-
-
-def c1_even_factor(x):
-    """f(x) = (1 + x)(1 - x)^2, the C1 even family."""
-    return (1 + x) * ((1 - x) * (1 - x))
 
 
 def is_integer(value) -> bool:
@@ -132,16 +125,39 @@ class Family(enum.Enum):
                              f"in {self.min_n}..{MAX_N}")
 
 
+def _weight_constant(r: GegenbauerCombo):
+    """K = ||C_(m-1)||^2 (k_m / k_(m-1)) a rho of R = a C_m + b C_d: the
+    free weights are K / (C_(m-1)(x) R'(x) (1 - x^2)^(alpha - 1/2)).
+
+    k_m / k_(m-1) = 2 (m + alpha - 1) / m is the ratio of the leading
+    coefficients of C_m and C_(m-1), and rho = 1 - shift / beta_m the
+    ratio of R's last beta to C_m's (1 unless d = m - 2).  Exact, but
+    where delta enters through b with d = m - 2 (C1 odd interior); then
+    an mpf at the current precision.
+    """
+    m, a, _, shift = last_row(r)
+    alpha = Fraction(r.alpha)
+    k = squared_norm(alpha, m - 1) * 2 * (m + alpha - 1) / m * a
+    return k * (1 - shift / monic_beta(alpha, m)) if shift else k
+
+
 @dataclass(frozen=True)
 class IntervalSpec:
-    """Construction data for one interval of a family's period."""
+    """Construction data for one interval of a family's period.
+
+    ``weight_constant`` is derived from R when the interval is made, at
+    the precision then current: K of :func:`_weight_constant` when the
+    interval has free nodes, else None.
+    """
 
     r: GegenbauerCombo
-    s: GegenbauerCombo
-    a: object  # normalization constant, exact (int or Fraction)
     expected_free_nodes: int
     fixed_node: Optional[tuple] = None  # (x, w); x an int, w exact or mpf
-    extra_weight_factor: Callable = no_extra_factor  # f(x) of the denominators
+    weight_constant: object = field(init=False)
+
+    def __post_init__(self):
+        k = _weight_constant(self.r) if self.expected_free_nodes else None
+        object.__setattr__(self, "weight_constant", k)
 
 
 @dataclass(frozen=True)
@@ -173,20 +189,22 @@ def _c0_odd(n: int) -> FamilySpec:
 
     First interval: R_n = n^2 C_n - (n+1)^2 C_{n-2} with n free nodes;
     second interval: R_{n-1} = C_{n-1} with n - 1 free nodes.  Order 3/2.
+
+    At n = 1 the first R is C_1, its C_{-1} term dropped, and the
+    paper's weight at its root 0 is 4, the whole period's: not the
+    Christoffel weight 4/3.  That interval is hard-coded as the fixed
+    node 0 with weight 4.
     """
     a = 1.5
-    first = IntervalSpec(
-        r=GegenbauerCombo.build(a, [(n, n * n), (n - 2, -((n + 1) ** 2))]),
-        s=GegenbauerCombo.build(a, [(n - 1, n)] + times_x(a, [(n - 2, -(n + 1))])),
-        a=2 * (n + 1) * (2 * n + 1) * n * n,
-        expected_free_nodes=n,
-    )
-    second = IntervalSpec(
-        r=GegenbauerCombo.build(a, [(n - 1, 1)]),
-        s=GegenbauerCombo.build(a, [(n - 2, 2 * n - 1)] + times_x(a, [(n - 3, -n)])),
-        a=2 * n * (2 * n - 1),
-        expected_free_nodes=n - 1,
-    )
+    if n == 1:
+        first = IntervalSpec(r=GegenbauerCombo.build(a, []), expected_free_nodes=0,
+                             fixed_node=(0, 4))
+    else:
+        first = IntervalSpec(
+            r=GegenbauerCombo.build(a, [(n, n * n), (n - 2, -((n + 1) ** 2))]),
+            expected_free_nodes=n,
+        )
+    second = IntervalSpec(r=GegenbauerCombo.build(a, [(n - 1, 1)]), expected_free_nodes=n - 1)
     return FamilySpec(
         id=Family.C0_ODD, n=n, delta=0, intervals=(first, second),
     )
@@ -198,15 +216,9 @@ def _c0_even(n: int, delta_sign: int) -> FamilySpec:
     delta = sqrt((n+2)/n); both signs are admissible and give mirror-image
     rules.  The + sign matches the reference tables.
     """
-    a = 1.5
     delta = delta_sign * _sqrt(Fraction(n + 2, n))
     interval = IntervalSpec(
-        r=GegenbauerCombo.build(a, [(n, 1), (n - 1, delta)]),
-        s=GegenbauerCombo.build(
-            a,
-            [(n - 1, 2 * n + 1)] + times_x(a, [(n - 1, delta * n), (n - 2, -(n + 1))]),
-        ),
-        a=2 * (n + 1) * (2 * n + 1),
+        r=GegenbauerCombo.build(1.5, [(n, 1), (n - 1, delta)]),
         expected_free_nodes=n,
     )
     return FamilySpec(
@@ -217,19 +229,14 @@ def _c0_even(n: int, delta_sign: int) -> FamilySpec:
 def _c1_endpoint(n: int) -> FamilySpec:
     """C1, odd degree D = 2n + 1, one interval, with a node at x = -1.
 
-    The free nodes are the roots of C_{n-1}^(5/2); the endpoint weight has
-    its own closed form and the free-node denominators carry the extra
-    factor (1 - x^2)^2.
+    The free nodes are the roots of C_{n-1}^(5/2), with the Gauss-Gegenbauer
+    weights over (1 - x^2)^2; the endpoint weight has its own closed form.
     """
-    a = 2.5
     w1 = Fraction(16 * (2 * n * n + 6 * n + 1), 3 * n * (n + 1) * (n + 2) * (n + 3))
     interval = IntervalSpec(
-        r=GegenbauerCombo.build(a, [(n - 1, 1)]),
-        s=GegenbauerCombo.build(a, [(n - 2, 1)]),
-        a=Fraction(2 * n * (n + 1) * (n + 2), 9),
+        r=GegenbauerCombo.build(2.5, [(n - 1, 1)]),
         expected_free_nodes=n - 1,
         fixed_node=(-1, w1),
-        extra_weight_factor=c1_endpoint_factor,
     )
     return FamilySpec(
         id=Family.C1_ODD_ENDPOINT, n=n, delta=0, intervals=(interval,),
@@ -250,20 +257,12 @@ def _c1_interior(n: int, delta_sign: int) -> FamilySpec:
     """
     a = 2.5
     if n == 1:
-        interval = IntervalSpec(
-            r=GegenbauerCombo.build(a, []),
-            s=GegenbauerCombo.build(a, []),
-            a=1,
-            expected_free_nodes=0,
-            fixed_node=(0, 2),
-        )
+        interval = IntervalSpec(r=GegenbauerCombo.build(a, []), expected_free_nodes=0,
+                                fixed_node=(0, 2))
         return FamilySpec(
             id=Family.C1_ODD_INTERIOR, n=1, delta=0, intervals=(interval,),
         )
     delta = delta_sign * _sqrt(Fraction(3 * (n * n + 3 * n - 1), n * (n + 3)))
-    q1 = 2 * n * n + 6 * n + 1
-    # the terms the paper multiplies by (1 + x^2)
-    outer = [(n - 1, n * (6 * n * n + 6 * n - 3 + 2 * (2 * n + 1) * delta)), (n - 3, (n + 2) * q1)]
     interval = IntervalSpec(
         r=GegenbauerCombo.build(
             a,
@@ -271,15 +270,6 @@ def _c1_interior(n: int, delta_sign: int) -> FamilySpec:
                 (n, (n - 1) * (2 * n * n + 2 * n - 3)),
                 (n - 2, -(n + 3) * (2 * n * n + 6 * n + 7 - 2 * (2 * n + 3) * delta)),
             ],
-        ),
-        # (1 + x^2) outer + x middle = outer + x (middle + x outer)
-        s=GegenbauerCombo.build(
-            a, outer + times_x(a, [(n - 2, -4 * (2 * n + 1) * q1)] + times_x(a, outer)),
-        ),
-        a=Fraction(
-            2 * (n - 1) * (n + 1) * (n + 2) * (2 * n + 1) * (2 * n + 3)
-            * (2 * n * n + 2 * n - 3) * q1,
-            9,
         ),
         expected_free_nodes=n,
     )
@@ -292,12 +282,10 @@ def _c1_even(n: int) -> FamilySpec:
     """C1, even degree D = 2n, periodic over two intervals ("1/2 rule").
 
     First interval: node at -1 with a closed-form weight plus the n - 1
-    roots of R_{n-1}, denominators carrying (1 + x)(1 - x)^2.  The second
-    interval is the first's free nodes reflected at 0, same weights.
+    roots of R_{n-1}.  The second interval is the first's free nodes
+    reflected at 0, same weights.
     """
-    a = 2.5
     delta = _sqrt(Fraction(3 * n * (n + 2) * (n * n + 2 * n - 2)))
-    q = 2 * n * n + 2 * n - 3
     w1 = (
         8 * (2 * n * n + 4 * n - 3)
         * (2 * n ** 4 + 8 * n ** 3 + 4 * n * n - 8 * n - 3 - delta)
@@ -305,23 +293,14 @@ def _c1_even(n: int) -> FamilySpec:
     )
     first = IntervalSpec(
         r=GegenbauerCombo.build(
-            a,
+            2.5,
             [
-                (n - 1, (n - 1) * q),
+                (n - 1, (n - 1) * (2 * n * n + 2 * n - 3)),
                 (n - 2, 2 * delta + 3 - n - 6 * n * n - 2 * n ** 3),
             ],
         ),
-        s=GegenbauerCombo.build(
-            a,
-            [
-                (n - 2, 3 * (n + 2) * (2 * n * n - 1) - 2 * delta),
-                (n - 3, (n + 2) * q),
-            ],
-        ),
-        a=Fraction(2 * (n - 1) * n * (n + 1) * (n + 2) * (2 * n + 1) * q * q, 9),
         expected_free_nodes=n - 1,
         fixed_node=(-1, w1),
-        extra_weight_factor=c1_even_factor,
     )
     return FamilySpec(
         id=Family.C1_EVEN, n=n, delta=delta, intervals=(first,),

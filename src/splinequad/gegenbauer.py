@@ -2,28 +2,31 @@
 
 All rule families in this package are expressed through Gegenbauer
 polynomials C_n^(alpha) of half-integer order (alpha = 3/2 for the C0
-rules, 5/2 for the C1 rules).  Evaluation is by the forward three-term
+rules, 5/2 for the C1 rules), orthogonal on [-1, 1] under the weight
+function (1 - x^2)^(alpha - 1/2) (:func:`weight_function`, with
+:func:`squared_norm`).  Evaluation is by the forward three-term
 recurrence, which is stable for the degrees and arguments used here
 (n <= 200, x in [-1, 1]).
 
 A combo is a sum of constants times Gegenbauer polynomials of one alpha.
-Where the paper multiplies a Gegenbauer polynomial by x or by 1 + x^2,
-:func:`times_x` rewrites the product by the three-term recurrence, once,
-when the spec is built; so evaluation only sums constants times C_k.
+Every R of the rule formulas is a C_m, a C_m + b C_(m-1) or a
+C_m + b C_(m-2): only the last row of its monic Jacobi matrix differs
+from C_m's, by :func:`last_row`.
 
 :func:`eval_combo` is the one evaluator: a single Gegenbauer polynomial
 C_n^(alpha) is the one-term combo ``GegenbauerCombo.build(alpha, [(n, 1)])``.
 Given several combos of one alpha, it evaluates them all from one run of
-the recurrence; the weights take R' and S from one such pass.  It is
-written generically: x may be a float, an mpmath mpf, a numpy array of
-floats (the root finder's bracket ends and eigenvalues) or of mpf (the
-extended-precision polish), or a double-double array
+the recurrence; the weights take R' and C_(m-1) from one such pass.  It
+is written generically: x may be a float, an mpmath mpf, a numpy array
+of floats (the root finder's bracket ends and eigenvalues) or of mpf
+(the extended-precision polish), or a double-double array
 (:class:`splinequad.doubledouble.DD`, the Newton step every precision
 starts its polish with), and the same code path serves all of them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,9 +36,7 @@ class GegenbauerCombo:
     """A polynomial written as sum_k c_k C_{d_k}^(alpha)(x).
 
     Each term pairs a Gegenbauer degree with a constant: an int, a
-    Fraction or an mpf.  A paper formula with x C_d or (1 + x^2) C_d is
-    expanded into such terms once, by :func:`times_x`, when its spec is
-    built.
+    Fraction or an mpf.
 
     ``build`` drops the terms of negative Gegenbauer degree, which are
     identically zero, and sums the terms of one degree.  The rule formulas
@@ -64,20 +65,68 @@ class GegenbauerCombo:
         return not self.terms
 
 
-def times_x(alpha, terms) -> list:
-    """The terms (degree, constant) of x times the combo of ``terms``.
+def monic_beta(alpha, k):
+    """beta_k of the monic recurrence p_k = x p_(k-1) - beta_k p_(k-2) of the
+    C_k^(alpha) / (leading coefficient), in the number type of alpha and k
+    (a numpy array of k gives an array)."""
+    return (k + 2 * alpha - 2) * (k - 1) / (4 * (k + alpha - 2) * (k + alpha - 1))
 
-    By x C_d = ((d + 1) C_{d+1} + (d + 2 alpha - 1) C_{d-1}) / (2 (d + alpha))
-    (DLMF §18.9).  alpha enters as an exact Fraction, so int and Fraction
-    constants stay exact; a term of negative degree is zero and gives none.
+
+def last_row(p: GegenbauerCombo):
+    """How p = a C_m + b C_d, with d = m - 1 or m - 2 (or p = a C_m),
+    changes the last row of C_m's monic Jacobi matrix: (m, a, diag, shift)
+    with diag the last diagonal entry and shift what beta_m loses, each
+    0 unless p has that term (else ValueError).
+
+    p / (a k_m), with k_j the leading coefficient of C_j, is monic:
+    p_m + b k_d / (a k_m) p_d for the monic p_j.  Its p_(m-1) term puts
+    -b k_(m-1) / (a k_m) on the diagonal, its p_(m-2) term takes
+    b k_(m-2) / (a k_m) from beta_m (Golub & Welsch, Math. Comp. 23,
+    1969; Golub, SIAM Review 15, 1973).  They come in the number type of
+    p's constants: float for float constants, exact for int and Fraction
+    ones, mpf where an mpf enters.
     """
-    a = Fraction(alpha)
-    out = []
-    for d, c in terms:
-        if d >= 0:
-            out += [(d + 1, c * ((d + 1) / (2 * (d + a)))),
-                    (d - 1, c * ((d + 2 * a - 1) / (2 * (d + a))))]
-    return out
+    (m, a), *rest = sorted(p.terms, reverse=True)
+    if a == 0 or len(rest) > 1 or any(d not in (m - 1, m - 2) for d, _ in rest):
+        raise ValueError(f"not a C_m + b C_(m-1) or C_m + b C_(m-2): {p}")
+    alpha = Fraction(p.alpha)
+    diag = shift = 0
+    for d, b in rest:
+        # b/a times k_(m-1) / k_m; a Fraction a keeps int / int exact and
+        # divides a float b as float(a) does
+        gamma = b / Fraction(a) * m / (2 * (m + alpha - 1))
+        if d == m - 1:
+            diag = -gamma
+        else:  # times k_(m-2) / k_(m-1)
+            shift = gamma * (m - 1) / (2 * (m + alpha - 2))
+    return m, a, diag, shift
+
+
+def _order(alpha) -> int:
+    """l for alpha = l + 1/2, else ValueError."""
+    ell = Fraction(alpha) - Fraction(1, 2)
+    if ell.denominator != 1 or ell < 0:
+        raise ValueError(f"alpha {alpha} is no half-integer >= 1/2")
+    return int(ell)
+
+
+def squared_norm(alpha, j) -> Fraction:
+    """The integral of C_j^(alpha)(x)^2 (1 - x^2)^(alpha - 1/2) over
+    [-1, 1], exact, for half-integer alpha = l + 1/2:
+    2 (j + 2l)! / (j! (2j + 2l + 1) ((2l - 1)!!)^2) (DLMF §18.3).  It is
+    2 (j+1)(j+2) / (2j+3) at alpha = 3/2, and
+    2 (j+1)(j+2)(j+3)(j+4) / (9 (2j+5)) at alpha = 5/2."""
+    ell = _order(alpha)
+    odd_factorial = math.prod(range(1, 2 * ell, 2))
+    return Fraction(2 * math.perm(j + 2 * ell, 2 * ell),
+                    (2 * j + 2 * ell + 1) * odd_factorial ** 2)
+
+
+def weight_function(alpha, x):
+    """(1 - x^2)^(alpha - 1/2) for half-integer alpha, a product of
+    factors (1 - x)(1 + x): products only, so it also evaluates on
+    double-double arrays, and 1 - x loses nothing near x = 1."""
+    return math.prod([(1 - x) * (1 + x)] * _order(alpha), start=1)
 
 
 def eval_combo(p, x):

@@ -11,11 +11,12 @@ and the roots of p_m are the eigenvalues of the m x m Jacobi matrix with
 diagonal 0 and off-diagonal sqrt(beta_k).  Adding b C_{m-1} changes the
 last diagonal entry to -gamma', adding b C_{m-2} the last beta to
 beta_m - gamma'', where gamma' and gamma'' are b over the leading
-coefficient times ratios of Gegenbauer leading coefficients (Golub &
-Welsch, Math. Comp. 23, 1969; Golub, SIAM Review 15, 1973).  So the
-roots come from one symmetric tridiagonal eigenvalue problem, as for a
-Gauss-Legendre rule.  Measured against 60-digit roots of every family
-at ``families.MAX_N``, the eigenvalues are within 2e-15.
+coefficient times ratios of Gegenbauer leading coefficients
+(:func:`splinequad.gegenbauer.last_row`, which the weights' constant in
+:mod:`splinequad.families` shares).  So the roots come from one
+symmetric tridiagonal eigenvalue problem, as for a Gauss-Legendre rule.
+Measured against 60-digit roots of every family at ``families.MAX_N``,
+the eigenvalues are within 2e-15.
 
 Every root sought lies in the reference interval (-1, 1), the one
 interval the rule formulas are stated on.  The formulas guarantee how
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gegenbauer import GegenbauerCombo, eval_combo
+from .gegenbauer import GegenbauerCombo, eval_combo, last_row, monic_beta
 
 
 class CountMismatch(Exception):
@@ -67,20 +68,13 @@ class RootSet:
 def _jacobi(p: GegenbauerCombo):
     """The degree m of p, the diagonal of its m x m Jacobi matrix, and the
     squares beta_2..beta_m of its off-diagonal.  p must be a C_m, or a
-    C_m plus a multiple of C_{m-1} or C_{m-2}; else ValueError."""
-    (m, a), *rest = sorted(p.terms, reverse=True)
-    if a == 0 or len(rest) > 1 or any(d not in (m - 1, m - 2) for d, _ in rest):
-        raise ValueError(f"not a C_m + b C_(m-1) or C_m + b C_(m-2): {p}")
-    alpha, k = p.alpha, np.arange(2, m + 1)
-    beta = (k + 2 * alpha - 2) * (k - 1) / (4 * (k + alpha - 2) * (k + alpha - 1))
+    C_m plus a multiple of C_(m-1) or C_(m-2); else ValueError."""
+    m, _, diag_last, shift = last_row(p)
+    beta = monic_beta(p.alpha, np.arange(2, m + 1))
     diag = np.zeros(m)
-    for d, b in rest:
-        # b/a times the ratio of the leading coefficients of C_(m-1) and C_m
-        gamma = b / a * m / (2 * (m + alpha - 1))
-        if d == m - 1:
-            diag[-1] = -gamma
-        else:  # times that of C_(m-2) and C_(m-1)
-            beta[-1] -= gamma * (m - 1) / (2 * (m + alpha - 2))
+    # slices: there is no last row at m = 0, and no beta at m = 1
+    diag[-1:] = diag_last
+    beta[-1:] -= shift
     return m, diag, beta
 
 

@@ -5,17 +5,15 @@ import hashlib
 import itertools
 import math
 import tracemalloc
-from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import roots_gegenbauer
+from scipy.special import eval_gegenbauer, roots_gegenbauer
 
 from splinequad import assembly, families
 from splinequad.assembly import (
     REFINE_TOL,
-    AsymmetricSpec,
     DegenerateWeight,
     PolishFailed,
     assemble,
@@ -34,10 +32,11 @@ from splinequad.families import (
     IntervalSpec,
     build_family,
 )
-from splinequad.gegenbauer import GegenbauerCombo, eval_combo
+from splinequad.gegenbauer import GegenbauerCombo, eval_combo, weight_function
 from splinequad.rootfind import isolate_and_refine
 
 from conftest import cached_rule, family_range
+from paper import gegenbauer_values
 
 
 class TestAssemble:
@@ -108,13 +107,12 @@ class TestAssemble:
         assert a == b
 
     @pytest.mark.parametrize("extended", [False, True])
-    def test_vanishing_denominator_raises_with_context(self, extended):
-        # R = C_1 = 3x has its root at 0, where S = C_1 / 3 = x vanishes too
-        interval = IntervalSpec(
-            r=GegenbauerCombo.build(1.5, [(1, 1)]),
-            s=GegenbauerCombo.build(1.5, [(1, Fraction(1, 3))]),
-            a=1, expected_free_nodes=1,
-        )
+    def test_vanishing_denominator_raises_with_context(self, extended, monkeypatch):
+        # no R the root finder accepts makes C_(m-1) R' omega vanish at
+        # its root, so the weight function is made to vanish, as
+        # (1 - x^2)^(alpha - 1/2) does at +-1: R = C_1 has its root at 0
+        monkeypatch.setattr(assembly, "weight_function", lambda alpha, x: 0 * x)
+        interval = IntervalSpec(r=GegenbauerCombo.build(1.5, [(1, 1)]), expected_free_nodes=1)
         spec = FamilySpec(id=Family.C0_ODD, n=1, delta=0, intervals=(interval,))
         with mpmath.workdps(EXTENDED_DPS):
             with pytest.raises(DegenerateWeight, match=r"C0_ODD n=1: .* at x=0"):
@@ -415,17 +413,20 @@ def _full_polish(iv, extended):
     polished and weighed, none mirrored: the steps of ``assembly._free``
     without the mirror, the reference of :class:`TestMirror`."""
     found = isolate_and_refine(iv.r, iv.expected_free_nodes)
-    r, s, a = iv.r.map(DD.of), iv.s.map(DD.of), DD.of(iv.a.numerator)
+    alpha, m = iv.r.alpha, max(d for d, _ in iv.r.terms)
+    c_prev = GegenbauerCombo.build(alpha, [(m - 1, 1)])
+    r = iv.r.map(DD.of)
     x = polish(r, DD(np.array(found.roots)), found, REFINE_TOL)
     if not extended:
-        (_, rder), (sval, _) = eval_combo((r, s), x)
-        weights = a / (iv.a.denominator * (rder * sval * iv.extra_weight_factor(x)))
+        (_, rder), (cval, _) = eval_combo((r, c_prev), x)
+        weights = DD.of(iv.weight_constant) / (cval * rder * weight_function(alpha, x))
         return x.rounded().tolist(), weights.rounded().tolist()
     with mpmath.workdps(EXTENDED_DPS + GUARD_DIGITS):
         x = np.array([mpmath.mpf(h) + lo for h, lo in zip(x.hi, x.lo)], dtype=object)
         x = polish(iv.r, x, found, assembly.mpf_polish_tol(EXTENDED_DPS))
-        (_, rder), (sval, _) = eval_combo((iv.r, iv.s), x)
-        weights = iv.a.numerator / (iv.a.denominator * (rder * sval * iv.extra_weight_factor(x)))
+        (_, rder), (cval, _) = eval_combo((iv.r, c_prev), x)
+        k = assembly._mpf(iv.weight_constant)
+        weights = k / (cval * rder * weight_function(alpha, x))
     # unary plus rounds to the caller's precision, as assemble's output is
     return [+v for v in x], [+v for v in weights]
 
@@ -463,29 +464,23 @@ class TestMirror:
                     for w, v in zip(riv.weights[free:], weights):
                         assert abs(w - v) <= 1e-50 * abs(v), (n, w, v)
 
-    @pytest.mark.parametrize("extended", [False, True])
-    @pytest.mark.parametrize("s_terms", [[(0, 1), (1, 1)], [(0, 1)]])
-    def test_s_not_of_the_other_parity_raises(self, s_terms, extended):
-        # R = C_2 is even; S must be odd, and is mixed or even here
-        interval = IntervalSpec(
-            r=GegenbauerCombo.build(1.5, [(2, 1)]),
-            s=GegenbauerCombo.build(1.5, s_terms),
-            a=1, expected_free_nodes=2,
-        )
-        spec = FamilySpec(id=Family.C0_ODD, n=2, delta=0, intervals=(interval,))
-        with mpmath.workdps(EXTENDED_DPS):
-            with pytest.raises(AsymmetricSpec, match=r"C0_ODD n=2: R has degrees \[2\] of one parity"):
-                assemble(spec, extended=extended)
-
     def test_mirrored_factor_is_even(self):
+        # the weight's denominator C_(m-1) R' omega takes the same value,
+        # to the bit, at x and -x wherever the interval is mirrored
         x = np.linspace(-1, 1, 41)
         mirrored = set()
         for family, n in itertools.chain(family_range(50), ((f, MAX_N) for f in Family)):
             for iv in build_family(family, n).intervals:
                 if iv.expected_free_nodes and assembly._parity(iv.r) is not None:
                     mirrored.add(family)
-                    f = iv.extra_weight_factor(x)
-                    assert np.array_equal(f, iv.extra_weight_factor(-x)), (family, n)
+                    r, m = iv.r.map(float), max(d for d, _ in iv.r.terms)
+                    c_prev = GegenbauerCombo.build(iv.r.alpha, [(m - 1, 1)])
+
+                    def denominator(x):
+                        (_, rder), (cval, _) = eval_combo((r, c_prev), x)
+                        return cval * rder * weight_function(iv.r.alpha, x)
+
+                    assert np.array_equal(denominator(x), denominator(-x)), (family, n)
         assert mirrored == set(SYMMETRIC)
 
     @pytest.mark.parametrize("family, delta_sign", [
@@ -508,6 +503,69 @@ class TestMirror:
             m = [iv.expected_free_nodes for iv in spec.intervals if iv.expected_free_nodes]
             half = [k - k // 2 for k in m] if family in SYMMETRIC else m
             assert polished == half, (n, polished)
+
+
+def _moment_errors(spec, rule, gegenbauer):
+    """Per interval of spec with free nodes: the quasi-Gauss moment check.
+
+    With lambda_i = w_i omega(x_i), the free nodes and weights of an R of
+    degree m integrate C_k exactly against omega for k <= 2m - 1 - (top
+    minus bottom degree of R): sum_i lambda_i C_k(x_i) = mu0 for k = 0,
+    0 for larger k.  Yields (worst error of those sums, error one degree
+    past), each relative to mu0 C_k(1), the sum's largest possible term
+    size.  ``gegenbauer(alpha, x, top)`` gives C_0(x)..C_top(x) at each
+    node as the rows of an array; C0 odd n = 1, not a Christoffel rule,
+    has no free node."""
+    for iv, riv in zip(spec.intervals, rule.intervals):
+        if not iv.expected_free_nodes:
+            continue
+        free = iv.fixed_node is not None
+        x, w = riv.nodes[free:], riv.weights[free:]
+        alpha, degrees = iv.r.alpha, [d for d, _ in iv.r.terms]
+        top = 2 * max(degrees) - 1 - (max(degrees) - min(degrees))
+        real = type(w[0])  # float64 or mpf
+        mu0 = real(4) / 3 if alpha == 1.5 else real(16) / 15
+        lam = w * ((1 - x * x) ** int(alpha - 0.5))
+        sums = lam @ gegenbauer(alpha, x, top + 1)
+        sums[0] -= mu0
+        ones = gegenbauer(alpha, np.array([real(1)]), top + 1)[0]
+        errors = [abs(total) / (mu0 * one) for total, one in zip(sums, ones)]
+        yield max(errors[:-1]), errors[-1]
+
+
+def _scipy_gegenbauer(alpha, x, top):
+    return eval_gegenbauer(np.arange(top + 1), alpha, x[:, None])
+
+
+def _mpf_gegenbauer(alpha, x, top):
+    return np.array([gegenbauer_values(alpha, y, top) for y in x], dtype=object)
+
+
+class TestQuasiGaussMoments:
+    # a fact no build step uses: the nodes and weights together integrate
+    # the C_k exactly against omega up to a degree set by R's form;
+    # measured in double within 2.1e-16 for n = min_n..50 and 200, and
+    # 1.05e-6 one degree past (C1 odd interior, n = 200)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_double(self, family):
+        for n in [*range(family.min_n, 51), MAX_N]:
+            spec = build_family(family, n)
+            for exact, past in _moment_errors(spec, assemble(spec), _scipy_gegenbauer):
+                assert exact <= 1e-13, (n, exact)
+                assert past > 1e-9, (n, past)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_extended(self, family):
+        # measured within 1.0e-51 at 60 digits, and 3.4e-5 one degree past
+        for n in (5, 24, 50):
+            spec = build_family(family, n)
+            with mpmath.workdps(EXTENDED_DPS):
+                rule = assemble(spec, extended=True)
+            with mpmath.workdps(EXTENDED_DPS + GUARD_DIGITS):
+                for exact, past in _moment_errors(spec, rule, _mpf_gegenbauer):
+                    assert exact <= 1e-49, (n, exact)
+                    assert past > 1e-9, (n, past)
 
 
 # a rule's intervals as tuples of floats, whose repr is, byte for byte, the

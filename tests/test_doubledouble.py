@@ -7,7 +7,7 @@ import pytest
 from splinequad import doubledouble
 from splinequad.doubledouble import DD, two_prod, two_sum
 from splinequad.families import EXTENDED_DPS, Family, build_family
-from splinequad.gegenbauer import eval_combo
+from splinequad.gegenbauer import GegenbauerCombo, eval_combo
 from splinequad.rootfind import isolate_and_refine
 
 
@@ -124,7 +124,7 @@ class TestArithmetic:
 class TestComboEvaluation:
     @pytest.mark.parametrize("family", list(Family))
     def test_matches_mpmath_at_40_digits(self, family):
-        # R and S of every interval, value and derivative, at random points,
+        # R and C_(m-1) of every interval, value and derivative, at random points,
         # at the roots of R and at +-1, with a non-zero low part on every x.
         # Errors are relative to the largest magnitude over the points,
         # which +-1 brings to the size of the terms: a value that cancels
@@ -137,7 +137,8 @@ class TestComboEvaluation:
                                  [-1.0, 1.0]])
             lo = hi * rng.uniform(-1, 1, hi.size) * 2.0 ** -60
             x = DD(hi, lo)
-            for combo in (iv.r, iv.s):
+            m = max(d for d, _ in iv.r.terms)
+            for combo in (iv.r, GegenbauerCombo.build(iv.r.alpha, [(m - 1, 1)])):
                 got = eval_combo(combo.map(DD.of), x)
                 with mpmath.workdps(40):
                     refs = [eval_combo(combo, mpmath.mpf(h) + l)

@@ -5,21 +5,21 @@ import mpmath
 import numpy as np
 import pytest
 
+from splinequad import families
+from splinequad.assembly import assemble
 from splinequad.families import (
     EXTENDED_DPS,
     GUARD_DIGITS,
     MAX_N,
     Family,
     build_family,
-    c1_endpoint_factor,
-    c1_even_factor,
-    no_extra_factor,
 )
 from splinequad.catalog import build_rule, build_rule_by_degree, family_for, rule_id
-from splinequad.gegenbauer import GegenbauerCombo, eval_combo
+from splinequad.gegenbauer import eval_combo, weight_function
 from splinequad.rootfind import isolate_and_refine
 
 from conftest import cached_rule, family_range
+from paper import paper_weight
 
 
 def assert_delta_squares_to(spec, radicand):
@@ -37,7 +37,8 @@ class TestC0Odd:
         # R = 4 C_2 - 9 C_0 = 30 x^2 - 15
         for x in (-0.7, 0.0, 0.4):
             assert eval_combo(iv.r, x)[0] == pytest.approx(30 * x * x - 15)
-        assert iv.a == 120
+        # ||C_1||^2 = 12/5, k_2/k_1 = 5/2, a = 4 and rho = 5/2
+        assert iv.weight_constant == 60
         assert iv.expected_free_nodes == 2
 
     def test_n2_second_interval(self):
@@ -45,8 +46,15 @@ class TestC0Odd:
         iv = spec.intervals[1]
         for x in (-0.5, 0.25):
             assert eval_combo(iv.r, x)[0] == pytest.approx(3 * x)
-        assert iv.a == 12
+        assert iv.weight_constant == 4  # ||C_0||^2 = 4/3 times k_1/k_0 = 3
         assert iv.expected_free_nodes == 1
+
+    def test_n1_first_interval_is_a_fixed_node(self):
+        # R would be C_1, whose Christoffel weight 4/3 is not the paper's 4
+        iv = build_family(Family.C0_ODD, 1).intervals[0]
+        assert iv.fixed_node == (0, 4)
+        assert iv.expected_free_nodes == 0 and iv.r.is_empty
+        assert iv.weight_constant is None
 
     def test_n1_second_interval_has_no_free_nodes(self):
         spec = build_family(Family.C0_ODD, 1)
@@ -59,7 +67,8 @@ class TestC0Odd:
         assert len(spec.intervals) == 2
         assert not spec.second_interval_by_reflection
         assert all(iv.fixed_node is None for iv in spec.intervals)
-        assert all(iv.extra_weight_factor is no_extra_factor for iv in spec.intervals)
+        # no delta in R: the weight constants are exact
+        assert all(isinstance(iv.weight_constant, (int, Fraction)) for iv in spec.intervals)
 
     def test_rejects_invalid_n(self):
         with pytest.raises(ValueError):
@@ -73,7 +82,8 @@ class TestC0Even:
         iv = spec.intervals[0]
         # R = C_1 + sqrt(3) C_0 vanishes at -1/sqrt(3)
         assert eval_combo(iv.r, -1 / math.sqrt(3))[0] == pytest.approx(0, abs=1e-14)
-        assert iv.a == 12
+        # delta is in R's C_(m-1) term, which leaves K exact
+        assert iv.weight_constant == 4
 
     def test_minus_sign_flips_delta(self):
         plus = build_family(Family.C0_EVEN, 3, delta_sign=+1)
@@ -101,7 +111,8 @@ class TestC1Endpoint:
         assert iv.fixed_node[1] == pytest.approx(14 / 15)
         # free nodes are roots of C_1^(5/2) = 5x
         assert eval_combo(iv.r, 0.2)[0] == pytest.approx(1.0)
-        assert iv.extra_weight_factor is c1_endpoint_factor
+        # ||C_0||^2 = 16/15 times k_1/k_0 = 5
+        assert iv.weight_constant == Fraction(16, 3)
         assert iv.expected_free_nodes == 1
 
     def test_n1_single_endpoint_node(self):
@@ -169,7 +180,7 @@ class TestC1Even:
         assert eval_combo(iv.r, 1 / 3)[0] == pytest.approx(0, abs=1e-13)
         assert iv.fixed_node[0] == -1
         assert iv.fixed_node[1] == pytest.approx(13 / 10)  # 13/20 after scaling
-        assert iv.extra_weight_factor is c1_even_factor
+        assert iv.weight_constant == 48  # 16/15 times k_1/k_0 = 5 times a = 9
 
     def test_reflection_flag(self):
         assert build_family(Family.C1_EVEN, 3).second_interval_by_reflection
@@ -194,10 +205,14 @@ class TestFamilyInvariants:
                     assert len(found.roots) == iv.expected_free_nodes, (family, n)
 
     def test_normalization_positive(self):
+        # the weight constant K, where the interval has free nodes
         for family, n in family_range(50):
             spec = build_family(family, n)
             for iv in spec.intervals:
-                assert iv.a > 0, (family, n)
+                if iv.expected_free_nodes:
+                    assert iv.weight_constant > 0, (family, n)
+                else:
+                    assert iv.weight_constant is None, (family, n)
 
     def test_degree_of_exactness(self):
         expected = {
@@ -220,46 +235,34 @@ class TestFamilyInvariants:
             assert even.delta == pytest.approx(math.sqrt(float(radicand)), rel=1e-15)
 
     @pytest.mark.parametrize("family", list(Family))
-    def test_expanded_s_equals_product_form(self, family):
-        # S as the paper writes it: terms (d, (c0, c1, c2)) standing for
-        # (c0 + c1 x + c2 x^2) C_d.  The spec's S has the products expanded
-        # by times_x into constants times C_d
-        def paper_s(spec):
-            n, delta = spec.n, spec.delta
-            q, q1 = 2 * n * n + 2 * n - 3, 2 * n * n + 6 * n + 1
-            a = n * (6 * n * n + 6 * n - 3 + 2 * (2 * n + 1) * delta)
-            return {
-                Family.C0_ODD: [[(n - 1, (n, 0, 0)), (n - 2, (0, -(n + 1), 0))],
-                                [(n - 2, (2 * n - 1, 0, 0)), (n - 3, (0, -n, 0))]],
-                Family.C0_EVEN: [[(n - 1, (2 * n + 1, delta * n, 0)), (n - 2, (0, -(n + 1), 0))]],
-                Family.C1_ODD_ENDPOINT: [[(n - 2, (1, 0, 0))]],
-                Family.C1_ODD_INTERIOR: [[(n - 1, (a, 0, a)),
-                                          (n - 2, (0, -4 * (2 * n + 1) * q1, 0)),
-                                          (n - 3, ((n + 2) * q1, 0, (n + 2) * q1))]],
-                Family.C1_EVEN: [[(n - 2, (3 * (n + 2) * (2 * n * n - 1) - 2 * delta, 0, 0)),
-                                  (n - 3, ((n + 2) * q, 0, 0))]],
-            }[spec.id]
-
-        for n in (2, 3, 40, MAX_N):
-            spec = build_family(family, n)
-            with mpmath.workdps(70):
-                for iv, terms in zip(spec.intervals, paper_s(spec)):
-                    def gegenbauer(d, x):
-                        return eval_combo(GegenbauerCombo.build(iv.s.alpha, [(d, 1)]), x)[0]
-
-                    for x in mpmath.linspace(-1, 1, 9):
-                        paper = [(c0 + (c1 + c2 * x) * x) * gegenbauer(d, x)
-                                 for d, (c0, c1, c2) in terms]
-                        expanded = [c * gegenbauer(d, x) for d, c in iv.s.terms]
-                        # the constants with delta carry 60 digits
-                        scale = sum(abs(t) for t in paper + expanded)
-                        assert abs(sum(expanded) - sum(paper)) <= 1e-53 * scale, (family, n, x)
+    def test_weights_equal_paper_form(self, family, monkeypatch):
+        # the free weights, Christoffel numbers over the weight function,
+        # against the paper's A / (R' S f), at 110 digits: spec and
+        # assembly at 110, the paper's form at 120 at the rounded nodes.
+        # Measured within 1.3e-105 relative, the nodes' rounding moving
+        # the paper's form; C0 even with both delta signs
+        monkeypatch.setattr(families, "EXTENDED_DPS", 110)
+        for delta_sign in (+1, -1) if family is Family.C0_EVEN else (+1,):
+            for n in (2, 3, 24, 50):
+                spec = build_family(family, n, delta_sign=delta_sign)
+                with mpmath.workdps(110):
+                    rule = assemble(spec, extended=True)
+                with mpmath.workdps(120):
+                    for k, (iv, riv) in enumerate(zip(spec.intervals, rule.intervals)):
+                        free = iv.fixed_node is not None
+                        assert len(riv.nodes[free:]) == iv.expected_free_nodes > 0
+                        for x, w in zip(riv.nodes[free:], riv.weights[free:]):
+                            v = paper_weight(spec, k, x)
+                            assert abs(w - v) <= 1e-100 * v, (delta_sign, n, x)
 
     def test_extra_factors(self):
-        for x in (-0.5, 0.0, 0.3):
-            assert no_extra_factor(x) == 1
-            assert c1_endpoint_factor(x) == pytest.approx((1 - x * x) ** 2)
-            assert c1_even_factor(x) == pytest.approx((1 + x) * (1 - x) ** 2)
+        # the one factor of every free weight's denominator beside
+        # C_(m-1) R': the Gegenbauer weight function of the family's order
+        for family in Family:
+            alpha = build_family(family, 4).intervals[0].r.alpha
+            assert alpha == (1.5 if family.smoothness == 0 else 2.5)
+            for x in (-0.5, 0.0, 0.3):
+                assert weight_function(alpha, x) == pytest.approx((1 - x * x) ** (alpha - 0.5))
 
     def test_node_count_per_period(self):
         per_period = {

@@ -8,9 +8,23 @@ from scipy.special import eval_gegenbauer as scipy_gegenbauer
 
 from splinequad.doubledouble import DD
 from splinequad.families import EXTENDED_DPS, Family, build_family
-from splinequad.gegenbauer import GegenbauerCombo, eval_combo, times_x
+from splinequad.gegenbauer import (
+    GegenbauerCombo,
+    eval_combo,
+    last_row,
+    squared_norm,
+    weight_function,
+)
+
+from paper import gegenbauer_values
 
 ORDERS = [1.5, 2.5, 3.5]
+
+
+def weighed_combos(iv):
+    """R and C_(m-1) of an interval, the combos its weights evaluate."""
+    m = max(d for d, _ in iv.r.terms)
+    return iv.r, GegenbauerCombo.build(iv.r.alpha, [(m - 1, 1)])
 
 
 def gegenbauer(alpha, n, x):
@@ -168,7 +182,7 @@ class TestSinglePassCombo:
         spec = build_family(family, 40)
         xs = np.linspace(-1, 1, 9)
         for iv in spec.intervals:
-            for combo in (iv.r, iv.s):
+            for combo in weighed_combos(iv):
                 pf, pd = combo.map(float), combo.map(DD.of)
                 assert np.array_equal(eval_combo(pf, xs), reference(pf, xs))
                 got, ref = eval_combo(pd, DD(xs)), reference(pd, DD(xs))
@@ -182,13 +196,13 @@ class TestSinglePassCombo:
 
 class TestFusedCombos:
     """Several combos of one alpha from one recurrence, as assembly
-    evaluates R' and S."""
+    evaluates R' and C_(m-1)."""
 
     @pytest.mark.parametrize("family", list(Family))
     def test_bit_equal_to_separate_calls(self, family):
         xs = np.linspace(-1, 1, 9)
         for iv in build_family(family, 40).intervals:
-            combos = (iv.r, iv.s)
+            combos = weighed_combos(iv)
             pf = tuple(q.map(float) for q in combos)
             for x in (-0.77, 0.31):
                 assert eval_combo(pf, x) == tuple(eval_combo(q, x) for q in pf)
@@ -247,21 +261,75 @@ class TestCombo:
         assert p.terms == ((2, Fraction(9, 2)), (0, -9))
 
 
-class TestTimesX:
-    """times_x against x C_d^(alpha) from mpmath, at 40 digits."""
+class TestLastRow:
+    """last_row against the monic recurrences of R's polynomials."""
 
-    @pytest.mark.parametrize("alpha", [1.5, 2.5])
-    def test_matches_x_times_gegenbauer(self, alpha):
+    @pytest.mark.parametrize("family", list(Family))
+    def test_monic_r_from_the_last_row(self, family):
+        # R / (a k_m) is (x - diag) p_(m-1) - (beta_m - shift) p_(m-2), with
+        # p_j = C_j / k_j monic and k_j = 2^j (alpha)_j / j!
+        for n in (2, 3, 24):
+            for iv in build_family(family, n).intervals:
+                if not iv.expected_free_nodes:
+                    continue
+                alpha = iv.r.alpha
+                with mpmath.workdps(EXTENDED_DPS):
+                    m, a, diag, shift = last_row(iv.r)
+                    lead = [mpmath.rf(alpha, j) * 2 ** j / mpmath.factorial(j)
+                            for j in range(m + 1)]
+                    beta = (mpmath.mpf((m + 2 * alpha - 2) * (m - 1))
+                            / (4 * (m + alpha - 2) * (m + alpha - 1)))
+                    for x in ("-0.83", "0.12", "0.61"):
+                        x = mpmath.mpf(x)
+                        # p[-1] = 0 stands for p_(-1) at m = 1
+                        p = [c / k for c, k in zip(gegenbauer_values(alpha, x, m), lead)] + [0]
+                        built = (x - diag) * p[m - 1] - (beta - shift) * p[m - 2]
+                        ref = eval_combo(iv.r, x)[0] / (a * lead[m])
+                        assert abs(built - ref) <= 1e-45 * max(1, abs(ref)), (n, x)
+
+    def test_number_type_follows_the_constants(self):
+        exact = GegenbauerCombo.build(2.5, [(4, 3), (2, -7)])
+        # b/a (4/11) (3/9)
+        assert last_row(exact) == (4, 3, 0, Fraction(-28, 99))
+        assert isinstance(last_row(exact.map(float))[3], float)
+        with mpmath.workdps(30):
+            inexact = GegenbauerCombo.build(2.5, [(4, 3), (3, mpmath.mpf(-7))])
+            assert isinstance(last_row(inexact)[2], mpmath.mpf)
+
+    @pytest.mark.parametrize("terms", [[(3, 1), (0, 1)], [(3, 0)], [(3, 1), (2, 1), (1, 1)]])
+    def test_other_forms_rejected(self, terms):
+        with pytest.raises(ValueError, match="not a C_m"):
+            last_row(GegenbauerCombo.build(1.5, terms))
+
+
+class TestWeightFunction:
+    @pytest.mark.parametrize("alpha", ORDERS)
+    def test_squared_norm_matches_quadrature(self, alpha):
+        # the closed forms of 3/2 and 5/2, and mpmath's quadrature
+        closed = {
+            1.5: lambda j: Fraction(2 * (j + 1) * (j + 2), 2 * j + 3),
+            2.5: lambda j: Fraction(2 * (j + 1) * (j + 2) * (j + 3) * (j + 4), 9 * (2 * j + 5)),
+        }
+        with mpmath.workdps(30):
+            for j in (0, 1, 2, 7, 12):
+                norm = squared_norm(alpha, j)
+                if alpha in closed:
+                    assert norm == closed[alpha](j)
+                ref = mpmath.quad(lambda x: mpmath.gegenbauer(j, alpha, x) ** 2
+                                  * (1 - x * x) ** (alpha - 0.5), [-1, 0, 1])
+                assert abs(norm.numerator / mpmath.mpf(norm.denominator) - ref) <= 1e-25 * ref
+
+    @pytest.mark.parametrize("alpha", ORDERS)
+    def test_weight_function_in_every_arithmetic(self, alpha):
+        x = np.linspace(-1, 1, 9)
+        expected = (1 - x * x) ** (alpha - 0.5)
+        assert np.allclose(weight_function(alpha, x), expected, rtol=1e-15, atol=0)
+        dd = weight_function(alpha, DD(x))
+        assert np.allclose(dd.hi, expected, rtol=1e-15, atol=0)
         with mpmath.workdps(40):
-            for d in range(61):
-                terms = times_x(alpha, [(d, 1)])
-                assert all(isinstance(c, Fraction) for _, c in terms)
-                p = GegenbauerCombo.build(alpha, terms)
-                scale = mpmath.gegenbauer(d, alpha, 1)  # the largest |C_d|
-                for x in ("-1", "-0.93", "-0.2", "0.1", "0.77", "1"):
-                    x = mpmath.mpf(x)
-                    got = eval_combo(p, x)[0]
-                    assert abs(got - x * mpmath.gegenbauer(d, alpha, x)) <= 1e-37 * scale, (d, x)
+            y = mpmath.mpf("0.999")
+            assert abs(weight_function(alpha, y) - (1 - y * y) ** (alpha - 0.5)) <= 1e-40
 
-    def test_negative_degree_gives_no_term(self):
-        assert times_x(1.5, [(-1, 5), (-2, 1)]) == []
+    def test_rejects_other_orders(self):
+        with pytest.raises(ValueError, match="half-integer"):
+            weight_function(0.75, 0.5)
