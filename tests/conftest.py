@@ -19,6 +19,13 @@ def family_range(max_n):
 ACCEPTANCE_LINES = []
 
 
+def report(criterion: str, ok: bool, detail: str):
+    line = f"{'PASS' if ok else 'FAIL'}  {criterion}: {detail}"
+    ACCEPTANCE_LINES.append(line)
+    print(line)
+    assert ok, line
+
+
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

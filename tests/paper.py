@@ -4,8 +4,7 @@ The package computes every free weight as a Christoffel number of R's
 Jacobi matrix over the Gegenbauer weight function.  The paper states the
 same weights with a second polynomial S, a constant A and a factor f(x)
 per family and interval; this module keeps that form, written as the
-paper writes it, so the tests (and the CI accuracy step, which puts
-``tests`` on ``sys.path``) compare the two.  It shares no code with the
+paper writes it, so the tests compare the two.  It shares no code with the
 package: the Gegenbauer values come from a recurrence of its own, in
 mpf, and the derivative of R from d/dx C_d^(alpha) = 2 alpha
 C_(d-1)^(alpha+1).

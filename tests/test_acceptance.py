@@ -20,7 +20,8 @@ from splinequad.splinecheck import (
     load_golden_tables,
 )
 
-from conftest import ACCEPTANCE_LINES, cached_rule, family_range
+import checks
+from conftest import cached_rule, family_range, report
 
 GOLDEN_TOL = 1e-13
 EXACTNESS_TOL = 1e-11
@@ -36,18 +37,6 @@ _MAX_N_DEG25 = {
 }
 
 
-def _report(criterion: str, ok: bool, detail: str):
-    line = f"{'PASS' if ok else 'FAIL'}  {criterion}: {detail}"
-    ACCEPTANCE_LINES.append(line)
-    print(line)
-    assert ok, line
-
-
-def _flat(rule):
-    return [(float(x), float(w))
-            for iv in rule.intervals for x, w in zip(iv.nodes, iv.weights)]
-
-
 def test_criterion_1_golden_regression():
     start = time.perf_counter()
     tables = load_golden_tables()
@@ -59,7 +48,7 @@ def test_criterion_1_golden_regression():
             worst, worst_id = dev, rid
     elapsed = time.perf_counter() - start
     ok = len(tables) == 34 and worst <= GOLDEN_TOL and elapsed < 5.0
-    _report(
+    report(
         "golden regression",
         ok,
         f"{len(tables)} tables, worst dev {worst:.2e} at {worst_id} "
@@ -73,13 +62,13 @@ def test_criterion_2_spline_exactness():
     worst_at = None
     for family, max_n in _MAX_N_DEG25.items():
         for n in range(2 if family is Family.C1_EVEN else 1, max_n + 1):
-            report = check_exactness(cached_rule(family, n))
-            if report.max_abs_error > worst:
-                worst = report.max_abs_error
+            result = check_exactness(cached_rule(family, n))
+            if result.max_abs_error > worst:
+                worst = result.max_abs_error
                 worst_at = (family.name, n)
     elapsed = time.perf_counter() - start
     ok = worst <= EXACTNESS_TOL and elapsed < 60.0
-    _report(
+    report(
         "spline exactness through degree 25",
         ok,
         f"worst err {worst:.2e} at {worst_at} (tol {EXACTNESS_TOL:g}), "
@@ -98,10 +87,10 @@ def test_criterion_3_sharpness_negative_control():
     smallest = float("inf")
     for family, n in representatives:
         rule = cached_rule(family, n)
-        report = check_exactness(rule, degree=rule.degree + 1)
-        smallest = min(smallest, report.max_abs_error)
+        result = check_exactness(rule, degree=rule.degree + 1)
+        smallest = min(smallest, result.max_abs_error)
     ok = smallest > 1e-6
-    _report(
+    report(
         "sharpness (degree + 1 fails)",
         ok,
         f"smallest one-degree-up error {smallest:.2e} over "
@@ -110,104 +99,22 @@ def test_criterion_3_sharpness_negative_control():
 
 
 def test_criterion_4_positivity_and_containment():
-    ok = True
-    checked = 0
-    for family, n in family_range(SWEEP_MAX_N):
-        rule = cached_rule(family, n)
-        for k, iv in enumerate(rule.intervals):
-            for x, w in zip(iv.nodes, iv.weights):
-                checked += 1
-                if not float(w) > 0:
-                    ok = False
-                if not k <= float(x) <= k + 1:
-                    ok = False
-        if family in (Family.C1_ODD_ENDPOINT, Family.C1_EVEN):
-            # the fixed node sits exactly on the interval boundary
-            if rule.intervals[0].nodes[0] != 0.0:
-                ok = False
-    _report(
+    report(
         f"positivity and containment, n <= {SWEEP_MAX_N}",
-        ok,
-        f"{checked} node/weight pairs, all weights > 0, all nodes inside "
-        "their interval",
+        *checks.cells(cached_rule(family, n) for family, n in family_range(SWEEP_MAX_N)),
     )
 
 
-def _symmetry_c0_odd(max_dev):
-    for n in range(1, 21):
-        rule = cached_rule(Family.C0_ODD, n)
-        for k, iv in enumerate(rule.intervals):
-            center = k + 0.5
-            for (x, w), (xr, wr) in zip(
-                zip(iv.nodes, iv.weights),
-                zip(reversed(iv.nodes), reversed(iv.weights)),
-            ):
-                max_dev = max(max_dev, abs((x - center) + (xr - center)),
-                              abs(w - wr))
-    return max_dev
-
-
-def _symmetry_c1_odd(max_dev):
-    for family in (Family.C1_ODD_ENDPOINT, Family.C1_ODD_INTERIOR):
-        for n in range(1, 21):
-            rule = cached_rule(family, n)
-            iv = rule.intervals[0]
-            free = [
-                (x, w) for x, w in zip(iv.nodes, iv.weights) if x != 0.0
-            ]
-            for (x, w), (xr, wr) in zip(free, list(reversed(free))):
-                max_dev = max(max_dev, abs((x - 0.5) + (xr - 0.5)),
-                              abs(w - wr))
-    return max_dev
-
-
-def _symmetry_c1_even(max_dev):
-    for n in range(2, 21):
-        rule = cached_rule(Family.C1_EVEN, n)
-        first, second = rule.intervals
-        free = list(zip(first.nodes[1:], first.weights[1:]))
-        for (x, w), (x2, w2) in zip(reversed(free),
-                                    zip(second.nodes, second.weights)):
-            max_dev = max(max_dev, abs(x2 - (2 - x)), abs(w2 - w))
-    return max_dev
-
-
 def test_criterion_5_symmetries():
-    dev = 0.0
-    dev = _symmetry_c0_odd(dev)
-    dev = _symmetry_c1_odd(dev)
-    dev = _symmetry_c1_even(dev)
-
-    # C0 even rules are genuinely asymmetric...
-    min_asym = float("inf")
-    for n in range(2, 11):
-        iv = cached_rule(Family.C0_EVEN, n).intervals[0]
-        asym = max(
-            max(abs((x - 0.5) + (xr - 0.5))
-                for x, xr in zip(iv.nodes, reversed(iv.nodes))),
-            max(abs(w - wr)
-                for w, wr in zip(iv.weights, reversed(iv.weights))),
-        )
-        min_asym = min(min_asym, asym)
-
-    # ...and the two delta signs give mirror-image rules
-    mirror_dev = 0.0
-    for n in range(1, 11):
-        plus = cached_rule(Family.C0_EVEN, n).intervals[0]
-        minus = cached_rule(Family.C0_EVEN, n, -1).intervals[0]
-        for (x, w), (xm, wm) in zip(
-            zip(plus.nodes, plus.weights),
-            reversed(list(zip(minus.nodes, minus.weights))),
-        ):
-            mirror_dev = max(mirror_dev, abs(xm - (1 - x)), abs(wm - w))
-
-    ok = dev <= 1e-12 and min_asym > 1e-6 and mirror_dev <= 1e-13
-    _report(
+    # the symmetric families at n <= 20, C0 even at n <= 10
+    report(
         "symmetry suite",
-        ok,
-        f"symmetric families dev {dev:.2e} (tol 1e-12), smallest asymmetry "
-        f"{min_asym:.2e} (> 1e-06), delta-sign mirror dev {mirror_dev:.2e} "
-        "(tol 1e-13)",
+        *checks.symmetries(
+            [cached_rule(family, n) for family, n in family_range(20)
+             if family is not Family.C0_EVEN or n <= 10],
+            [(cached_rule(Family.C0_EVEN, n), cached_rule(Family.C0_EVEN, n, -1))
+             for n in range(1, 11)],
+        ),
     )
 
 
@@ -221,7 +128,7 @@ def test_criterion_6_rejected_delta_branch():
             isolate_and_refine(iv.r, iv.expected_free_nodes)
         raised += 1
     ok = raised == len(tried)
-    _report(
+    report(
         "rejected delta branch",
         ok,
         f"negative-delta node polynomial failed root isolation for all "
@@ -244,7 +151,7 @@ def test_criterion_7_variant_convergence():
         ep_free = [float(x) for x in ep.nodes if x != 0.0]
         dists[n] = _hausdorff(ep_free, [float(x) for x in inr.nodes])
     ok = dists[20] < dists[5]
-    _report(
+    report(
         "variant node sets converge",
         ok,
         f"interior/endpoint Hausdorff distance {dists[5]:.3e} at n=5 vs "
@@ -253,17 +160,7 @@ def test_criterion_7_variant_convergence():
 
 
 def test_criterion_8_weight_sums():
-    worst = -1.0
-    worst_at = None
-    for family, n in family_range(SWEEP_MAX_N):
-        rule = cached_rule(family, n)
-        total = sum(float(w) for iv in rule.intervals for w in iv.weights)
-        err = abs(total - rule.period_intervals)
-        if err > worst:
-            worst, worst_at = err, (family.name, n)
-    ok = worst <= 1e-12
-    _report(
+    report(
         f"weight sums equal the period, n <= {SWEEP_MAX_N}",
-        ok,
-        f"worst deviation {worst:.2e} at {worst_at} (tol 1e-12)",
+        *checks.weight_sums(cached_rule(family, n) for family, n in family_range(SWEEP_MAX_N)),
     )

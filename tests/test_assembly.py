@@ -9,9 +9,9 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import eval_gegenbauer, roots_gegenbauer
+from scipy.special import roots_gegenbauer
 
-from splinequad import assembly, families
+from splinequad import assembly
 from splinequad.assembly import (
     REFINE_TOL,
     DegenerateWeight,
@@ -35,8 +35,8 @@ from splinequad.families import (
 from splinequad.gegenbauer import GegenbauerCombo, eval_combo, weight_function
 from splinequad.rootfind import isolate_and_refine
 
+import checks
 from conftest import cached_rule, family_range
-from paper import gegenbauer_values
 
 
 class TestAssemble:
@@ -278,15 +278,10 @@ class TestExtendedPrecision:
     def test_matches_double_build(self):
         # the double build is the extended build rounded to double: weights
         # within one ulp, nodes within one rounding of the scaled position
-        for family, n in itertools.product(Family, (4, 16, 24)):
-            double = cached_rule(family, n)
-            extended = build_rule(family, n, precision="extended")
-            for div, eiv in zip(double.intervals, extended.intervals):
-                assert len(div.nodes) == len(eiv.nodes)
-                for xd, xe in zip(div.nodes, eiv.nodes):
-                    assert abs(xd - float(xe)) <= 2.3e-16, (family, n)
-                for wd, we in zip(div.weights, eiv.weights):
-                    assert abs(wd - float(we)) <= math.ulp(float(we)), (family, n)
+        ok, detail = checks.double_vs_extended(
+            (cached_rule(family, n), build_rule(family, n, precision="extended"))
+            for family, n in itertools.product(Family, (4, 16, 24)))
+        assert ok, detail
 
     def test_weight_sum_to_working_precision(self):
         rule = build_rule(Family.C1_ODD_ENDPOINT, 6, precision="extended")
@@ -323,28 +318,18 @@ class TestExtendedPrecision:
                 build_rule(Family.C1_EVEN, 5, precision=precision)
 
     @pytest.mark.parametrize("family", list(Family))
-    def test_accuracy_against_90_digits(self, family, monkeypatch):
+    def test_accuracy_against_90_digits(self, family):
         # the measured accuracy of the 50-digit rule: the spec built and
         # assembled at 90 digits is the reference
         for n in (24, 50):
-            spec = build_family(family, n)
             with mpmath.workdps(EXTENDED_DPS):
-                rule = assemble(spec, extended=True)
+                rule = assemble(build_family(family, n), extended=True)
                 # computed with guard digits, each value rounded to 50
                 prec = mpmath.mp.prec
             for iv in rule.intervals:
                 assert all(v._mpf_[3] <= prec for v in [*iv.nodes, *iv.weights])
-            with monkeypatch.context() as patched:
-                patched.setattr(families, "EXTENDED_DPS", 90)
-                reference_spec = build_family(family, n)
-            with mpmath.workdps(90):
-                reference = assemble(reference_spec, extended=True)
-                for iv, ref in zip(rule.intervals, reference.intervals):
-                    assert len(iv.nodes) == len(ref.nodes)
-                    for x, y in zip(iv.nodes, ref.nodes):
-                        assert abs(x - y) <= 1e-50, (n, x, y)
-                    for w, v in zip(iv.weights, ref.weights):
-                        assert abs(w - v) <= 1e-50 * abs(v), (n, w, v)
+            ok, detail = checks.extended_accuracy(family, n, rule, 90)
+            assert ok, (n, detail)
 
     def test_mpf_polish_from_a_far_seed(self, monkeypatch):
         # seeded 1e-20 off the roots instead of at the double-double
@@ -505,42 +490,6 @@ class TestMirror:
             assert polished == half, (n, polished)
 
 
-def _moment_errors(spec, rule, gegenbauer):
-    """Per interval of spec with free nodes: the quasi-Gauss moment check.
-
-    With lambda_i = w_i omega(x_i), the free nodes and weights of an R of
-    degree m integrate C_k exactly against omega for k <= 2m - 1 - (top
-    minus bottom degree of R): sum_i lambda_i C_k(x_i) = mu0 for k = 0,
-    0 for larger k.  Yields (worst error of those sums, error one degree
-    past), each relative to mu0 C_k(1), the sum's largest possible term
-    size.  ``gegenbauer(alpha, x, top)`` gives C_0(x)..C_top(x) at each
-    node as the rows of an array; C0 odd n = 1, not a Christoffel rule,
-    has no free node."""
-    for iv, riv in zip(spec.intervals, rule.intervals):
-        if not iv.expected_free_nodes:
-            continue
-        free = iv.fixed_node is not None
-        x, w = riv.nodes[free:], riv.weights[free:]
-        alpha, degrees = iv.r.alpha, [d for d, _ in iv.r.terms]
-        top = 2 * max(degrees) - 1 - (max(degrees) - min(degrees))
-        real = type(w[0])  # float64 or mpf
-        mu0 = real(4) / 3 if alpha == 1.5 else real(16) / 15
-        lam = w * ((1 - x * x) ** int(alpha - 0.5))
-        sums = lam @ gegenbauer(alpha, x, top + 1)
-        sums[0] -= mu0
-        ones = gegenbauer(alpha, np.array([real(1)]), top + 1)[0]
-        errors = [abs(total) / (mu0 * one) for total, one in zip(sums, ones)]
-        yield max(errors[:-1]), errors[-1]
-
-
-def _scipy_gegenbauer(alpha, x, top):
-    return eval_gegenbauer(np.arange(top + 1), alpha, x[:, None])
-
-
-def _mpf_gegenbauer(alpha, x, top):
-    return np.array([gegenbauer_values(alpha, y, top) for y in x], dtype=object)
-
-
 class TestQuasiGaussMoments:
     # a fact no build step uses: the nodes and weights together integrate
     # the C_k exactly against omega up to a degree set by R's form;
@@ -549,23 +498,22 @@ class TestQuasiGaussMoments:
 
     @pytest.mark.parametrize("family", list(Family))
     def test_double(self, family):
-        for n in [*range(family.min_n, 51), MAX_N]:
-            spec = build_family(family, n)
-            for exact, past in _moment_errors(spec, assemble(spec), _scipy_gegenbauer):
-                assert exact <= 1e-13, (n, exact)
-                assert past > 1e-9, (n, past)
+        specs = (build_family(family, n) for n in [*range(family.min_n, 51), MAX_N])
+        ok, detail = checks.moments(((spec, assemble(spec)) for spec in specs),
+                                    checks.scipy_gegenbauer, 1e-13)
+        assert ok, detail
 
     @pytest.mark.parametrize("family", list(Family))
     def test_extended(self, family):
         # measured within 1.0e-51 at 60 digits, and 3.4e-5 one degree past
+        pairs = []
         for n in (5, 24, 50):
             spec = build_family(family, n)
             with mpmath.workdps(EXTENDED_DPS):
-                rule = assemble(spec, extended=True)
-            with mpmath.workdps(EXTENDED_DPS + GUARD_DIGITS):
-                for exact, past in _moment_errors(spec, rule, _mpf_gegenbauer):
-                    assert exact <= 1e-49, (n, exact)
-                    assert past > 1e-9, (n, past)
+                pairs.append((spec, assemble(spec, extended=True)))
+        with mpmath.workdps(EXTENDED_DPS + GUARD_DIGITS):
+            ok, detail = checks.moments(pairs, checks.mpf_gegenbauer, 1e-49)
+        assert ok, detail
 
 
 # a rule's intervals as tuples of floats, whose repr is, byte for byte, the
