@@ -8,6 +8,11 @@ function, K / (C_(m-1)(x) R'(x) (1 - x^2)^(alpha - 1/2)) with the
 interval's constant K, never from solving a linear system.  The rule's
 degree is its family's ``degree(n)``.
 
+The spec's constants are ints and Fractions.  Each is converted once
+into the arithmetic that uses it: to float for the Jacobi matrix of the
+root finder, by :meth:`DD.of` for double-double, and to the nearest mpf
+at the working precision for the extended polish (:func:`_mpf`).
+
 Both precisions run one free-node stage (:func:`_free`): one
 double-double Newton step polishes the double roots, R' and C_(m-1) are
 evaluated at the polished nodes from one recurrence, and each node and
@@ -51,7 +56,7 @@ import mpmath
 import numpy as np
 
 from .doubledouble import DD
-from .families import GUARD_DIGITS, Family, FamilySpec
+from .families import Family, FamilySpec
 from .gegenbauer import GegenbauerCombo, eval_combo, weight_function
 from .rootfind import CountMismatch, RootSet, isolate_and_refine
 
@@ -113,6 +118,15 @@ class ScaledRule:
         return len(self.intervals)
 
 
+# digits past the output precision at which the extended polish, weights
+# and division run.  The weight is sensitive to its node (|d log w / dx|
+# reaches 1.1e6 at n = 200, C0 even), so the node carries about six
+# digits fewer into its weight.  Against a 110-digit reference, the
+# 50-digit weights at n = 200 were off by up to 5.6e-46 relative at
+# exactly 50 digits and by 6.0e-51 with 5 guard digits; with 10, every
+# family's are within 1.3e-51
+GUARD_DIGITS = 10
+
 POLISH_STEPS = 6  # cap on the Newton steps of each polish
 REFINE_TOL = 1e-15  # no larger double-double Newton step ends the polish
 _K_BOUND = 1e5  # the bound on |R''/2R'| that the mpf polish tolerance assumes
@@ -128,10 +142,9 @@ def mpf_polish_tol(dps: int):
 
 
 def _mpf(value):
-    """An int, Fraction or mpf as an mpf at the current precision."""
-    if isinstance(value, Fraction):
-        return mpmath.mpf(value.numerator) / value.denominator
-    return mpmath.mpf(value)
+    """An int or Fraction as the nearest mpf at the current precision."""
+    value = Fraction(value)
+    return mpmath.fdiv(value.numerator, value.denominator)
 
 
 def _plain(v):
@@ -222,7 +235,7 @@ def _free(iv, extended: bool) -> tuple:
         if extended:
             tol = mpf_polish_tol(mpmath.mp.dps)
             working.enter_context(mpmath.workdps(mpmath.mp.dps + GUARD_DIGITS))
-            r, k = iv.r, _mpf(iv.weight_constant)
+            r, k = iv.r.map(_mpf), _mpf(iv.weight_constant)
             # hi + lo is exact at the working precision
             x = np.array([mpmath.mpf(h) + lo
                           for h, lo in zip(*np.broadcast_arrays(x.hi, x.lo))], dtype=object)
@@ -232,7 +245,9 @@ def _free(iv, extended: bool) -> tuple:
         size = np.abs(_plain(denom))
         _raise_at(~((size > 1e-300) & (size < np.inf)), _plain(x),
                   DegenerateWeight, "denominator ~ 0")
-        weights = k / denom
+        # not k / denom: an mpf k would first try to convert the array,
+        # formatting all of it into an error message numpy then discards
+        weights = np.divide(k, denom)
     nodes, weights = _rounded(x), _rounded(weights)
     if parity is None:
         return nodes, weights

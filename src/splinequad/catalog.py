@@ -52,10 +52,11 @@ def build_rule(family: Family, n: int, delta_sign: int = +1,
     (50) digits.  Both start from one double-double Newton step at the
     double roots; extended continues with Newton in mpf at 60 digits,
     takes R' and C_(m-1) from one recurrence pass there, and rounds each node
-    and weight once to 50 digits.  Against a spec and assembly at 110
-    digits, at n = 24, 50, 80 and 200 in every family, the nodes are
-    within 6.7e-52 and the weights within 1.3e-51 relative (the
-    reference tables carry 25 significant digits).
+    and weight once to 50 digits.  The spec is exact (its delta to 200
+    decimals) and takes no precision from the caller.  Against the same
+    spec assembled at 110 digits, at n = 24, 50, 80 and 200 in every
+    family, the nodes are within 6.7e-52 and the weights within 1.3e-51
+    relative (the reference tables carry 25 significant digits).
     """
     if precision not in ("double", "extended"):
         raise ValueError(f"unknown precision {precision!r}")

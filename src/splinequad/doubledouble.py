@@ -9,8 +9,8 @@ each result is accurate to a few units of 2**-106 relative to the size
 of its operands, which is all a recurrence evaluation can use anyway.
 
 Plain Python or numpy numbers mixed into an expression are taken as
-exact doubles; values that are not (an exact rational, a 50-digit mpf)
-enter through :meth:`DD.of`.
+exact doubles; values that are not (an int past 2**53, a Fraction such
+as a spec's constants) enter through :meth:`DD.of`.
 
 A Python int k with |k| < 2**26 is its own high half under Dekker's
 splitting, with a zero low part.  Multiplying or dividing by such an int
@@ -23,8 +23,6 @@ numpy integer included, takes the general path.
 from __future__ import annotations
 
 from fractions import Fraction
-
-import mpmath
 
 _SPLITTER = 134217729.0  # 2**27 + 1
 _SMALL_INT = 2 ** 26  # an int below this in size splits into itself and 0
@@ -86,10 +84,9 @@ class DD:
 
     @classmethod
     def of(cls, value) -> "DD":
-        """The double-double nearest an int, Fraction or mpf scalar."""
+        """The double-double nearest an int or Fraction: hi the double
+        nearest it, lo the double nearest the rest, exactly."""
         hi = float(value)
-        if isinstance(value, mpmath.mpf):
-            return cls(hi, float(value - hi))
         return cls(hi, float(Fraction(value) - Fraction(hi)))
 
     def rounded(self):

@@ -2,14 +2,16 @@
 
 :func:`build_family` is the one way to build a spec.  It checks the
 family, n and the delta sign, then runs the family's private formula
-function at EXTENDED_DPS + GUARD_DIGITS digits.  The guard digits matter:
-the weight is sensitive to its node (|d log w / dx| reaches 1.1e6 at
-n = 200, C0 even), so the node carries about six digits fewer into its
-weight; the extended polish in :mod:`splinequad.assembly` runs with the
-same guard digits.  Against a spec and assembly at 110 digits, the
-50-digit weights at n = 200 were off by up to 5.6e-46 relative with both
-at exactly 50 digits and by 6.0e-51 with 5 guard digits; with 10, every
-family's are within 1.3e-51.
+function.
+
+The spec is rational.  The paper states every family in closed form in
+n and one surd, delta = sqrt(d) with d rational, and every constant of a
+spec is an int or a Fraction: delta is the root truncated to
+DELTA_DECIMALS decimals (:func:`_sqrt`), and the constants formed from
+it are Fractions too.  A spec thus takes no precision from mpmath, and
+builds the same wherever it is made; :mod:`splinequad.assembly` converts each
+constant once into its working arithmetic (float, double-double, or mpf
+at the working precision).
 
 The result is a :class:`FamilySpec`: the family, n, delta, and per
 interval of the period an :class:`IntervalSpec` holding the polynomial R
@@ -55,21 +57,23 @@ C1 even      2n      2         endpoint + (n-1) nodes, mirrored interval
 from __future__ import annotations
 
 import enum
+import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
-
-import mpmath
 
 from .gegenbauer import GegenbauerCombo, last_row, monic_beta, squared_norm
 
 # dps of the extended-precision rules
 EXTENDED_DPS = 50
 
-# digits past EXTENDED_DPS at which the spec and the extended polish,
-# weights and division run
-GUARD_DIGITS = 10
+# decimals of delta: more than any working precision that converts the
+# spec (60 digits for the 50-digit rules, 120 for the tests' 110-digit
+# references), with room for the cancellation between a constant's
+# rational and delta parts, which costs under one digit (a factor 6.8 at
+# C1 odd interior n = 2)
+DELTA_DECIMALS = 200
 
 # largest supported n in every family, in both precisions
 MAX_N = 200
@@ -131,9 +135,9 @@ def _weight_constant(r: GegenbauerCombo):
 
     k_m / k_(m-1) = 2 (m + alpha - 1) / m is the ratio of the leading
     coefficients of C_m and C_(m-1), and rho = 1 - shift / beta_m the
-    ratio of R's last beta to C_m's (1 unless d = m - 2).  Exact, but
-    where delta enters through b with d = m - 2 (C1 odd interior); then
-    an mpf at the current precision.
+    ratio of R's last beta to C_m's (1 unless d = m - 2).  Exact, as R's
+    constants are: a Fraction where delta enters through b with d = m - 2
+    (C1 odd interior).
     """
     m, a, _, shift = last_row(r)
     alpha = Fraction(r.alpha)
@@ -145,14 +149,16 @@ def _weight_constant(r: GegenbauerCombo):
 class IntervalSpec:
     """Construction data for one interval of a family's period.
 
-    ``weight_constant`` is derived from R when the interval is made, at
-    the precision then current: K of :func:`_weight_constant` when the
-    interval has free nodes, else None.
+    ``weight_constant`` is derived from R when the interval is made:
+    K of :func:`_weight_constant`, exact, when the interval has free
+    nodes, else None.  R's constants, the fixed node and K are ints or
+    Fractions, so an interval made or ``dataclasses.replace``d anywhere
+    equals the one :func:`build_family` makes.
     """
 
     r: GegenbauerCombo
     expected_free_nodes: int
-    fixed_node: Optional[tuple] = None  # (x, w); x an int, w exact or mpf
+    fixed_node: Optional[tuple] = None  # (x, w); x an int, w an int or Fraction
     weight_constant: object = field(init=False)
 
     def __post_init__(self):
@@ -166,22 +172,20 @@ class FamilySpec:
 
     id: Family
     n: int
-    delta: object  # mpf at EXTENDED_DPS + GUARD_DIGITS; 0 when the family has no delta
+    delta: object  # a Fraction (_sqrt); 0 when the family has no delta
     intervals: tuple
     second_interval_by_reflection: bool = False
 
 
-def _sqrt(radicand: Fraction):
-    """sqrt(radicand) as an mpf at the working precision.
-
-    :func:`build_family` runs every formula at EXTENDED_DPS +
-    GUARD_DIGITS, so delta and every coefficient computed from it are mpf
-    values at that precision; all other coefficients are exact ints or
-    Fractions.
+def _sqrt(radicand: Fraction) -> Fraction:
+    """sqrt(radicand) truncated to DELTA_DECIMALS decimals, as a Fraction:
+    floor(sqrt(radicand) 10^D) / 10^D, by the integer square root, so
+    exact where the root is a decimal of at most D places (12 for C1
+    even at n = 2).  Every coefficient computed from it is a Fraction
+    too; all others are ints or Fractions.
     """
-    num = mpmath.mpf(radicand.numerator)
-    den = mpmath.mpf(radicand.denominator)
-    return mpmath.sqrt(num / den)
+    scale = 10 ** DELTA_DECIMALS
+    return Fraction(math.isqrt(radicand.numerator * scale * scale // radicand.denominator), scale)
 
 
 def _c0_odd(n: int) -> FamilySpec:
@@ -321,8 +325,8 @@ _SIGN_CHOICE = (Family.C0_EVEN, Family.C1_ODD_INTERIOR)
 
 
 def build_family(family: Family, n: int, delta_sign: int = +1) -> FamilySpec:
-    """The spec of ``family`` at index n, its formulas run at EXTENDED_DPS +
-    GUARD_DIGITS.
+    """The spec of ``family`` at index n, every constant an int or a
+    Fraction.
 
     Raises a ValueError naming the family and n when family is not a
     :class:`Family`, when n is not an integer in the family's range
@@ -333,11 +337,10 @@ def build_family(family: Family, n: int, delta_sign: int = +1) -> FamilySpec:
     if not isinstance(family, Family):
         raise ValueError(f"{family!r} n={n!r}: not a Family")
     family.check_n(n)
-    n = int(n)  # any Integral passes check_n; mpmath and Fraction take int
+    n = int(n)  # any Integral passes check_n; a numpy integer would overflow in the formulas
     signed = family in _SIGN_CHOICE
     if delta_sign not in ((+1, -1) if signed else (+1,)):
         raise ValueError(f"{family.name} n={n}: delta_sign must be "
                          f"{'+1 or -1' if signed else '+1'}, not {delta_sign!r}")
     formula = _FORMULAS[family]
-    with mpmath.workdps(EXTENDED_DPS + GUARD_DIGITS):
-        return formula(n, delta_sign) if signed else formula(n)
+    return formula(n, delta_sign) if signed else formula(n)

@@ -84,7 +84,7 @@ def last_row(p: GegenbauerCombo):
     b k_(m-2) / (a k_m) from beta_m (Golub & Welsch, Math. Comp. 23,
     1969; Golub, SIAM Review 15, 1973).  They come in the number type of
     p's constants: float for float constants, exact for int and Fraction
-    ones, mpf where an mpf enters.
+    ones.
     """
     (m, a), *rest = sorted(p.terms, reverse=True)
     if a == 0 or len(rest) > 1 or any(d not in (m - 1, m - 2) for d, _ in rest):

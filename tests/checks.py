@@ -11,10 +11,8 @@ import math
 
 import mpmath
 import numpy as np
-import pytest
 from scipy.special import eval_gegenbauer
 
-from splinequad import families
 from splinequad.assembly import assemble
 from splinequad.families import EXTENDED_DPS, Family, build_family
 
@@ -118,23 +116,20 @@ def double_vs_extended(pairs):
 
 
 def extended_accuracy(family, n, rule, dps):
-    """The 50-digit reference rule of family at n against its spec built
-    and assembled at dps digits: nodes within 1e-50, weights within 1e-50
+    """The 50-digit reference rule of family at n against its spec
+    assembled at dps digits: nodes within 1e-50, weights within 1e-50
     relative, and the free weights within 1e-50 relative of the paper's
     A / (R' S f) at dps digits at the reference nodes.  Where R has one
     parity, the free nodes and weights, but an odd middle one, are mirror
     pairs equal to the last bit, in this rule and in the double one."""
     spec = build_family(family, n)
-    with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(families, "EXTENDED_DPS", dps)
-        reference_spec = build_family(family, n)
     errors, unequal = {"node": 0, "weight": 0, "paper weight": 0}, []
 
     def track(what, error):
         errors[what] = max([errors[what], *error], key=lambda e: (mpmath.isnan(e), e))
 
     with mpmath.workdps(dps):
-        reference = assemble(reference_spec, extended=True)
+        reference = assemble(spec, extended=True)
         for riv, ref in zip(rule.intervals, reference.intervals, strict=True):
             if riv.nodes.shape != ref.nodes.shape:
                 return False, f"{len(riv.nodes)} nodes in an interval, not {len(ref.nodes)}"
@@ -144,7 +139,7 @@ def extended_accuracy(family, n, rule, dps):
         # reflected second interval has no interval of its own in the spec
         for k, (iv, riv, ref) in enumerate(zip(spec.intervals, rule.intervals, reference.intervals)):
             free = iv.fixed_node is not None
-            paper = [paper_weight(reference_spec, k, x) for x in ref.nodes[free:]]
+            paper = [paper_weight(spec, k, x) for x in ref.nodes[free:]]
             track("paper weight", abs(riv.weights[free:] / paper - 1))
     for built in (assemble(spec), rule):
         for iv, riv in zip(spec.intervals, built.intervals):

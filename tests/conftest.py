@@ -1,4 +1,11 @@
 import functools
+import os
+
+# before numpy is first imported: its BLAS pool buys no wall time on the
+# small eigenvalue solves of a rule build and doubles their CPU time.  The
+# CI job and the benchmark set the same
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from splinequad.catalog import build_rule
 from splinequad.families import Family

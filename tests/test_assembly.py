@@ -13,6 +13,7 @@ from scipy.special import roots_gegenbauer
 
 from splinequad import assembly
 from splinequad.assembly import (
+    GUARD_DIGITS,
     REFINE_TOL,
     DegenerateWeight,
     PolishFailed,
@@ -25,7 +26,6 @@ from splinequad.catalog import build_rule
 from splinequad.doubledouble import DD
 from splinequad.families import (
     EXTENDED_DPS,
-    GUARD_DIGITS,
     MAX_N,
     Family,
     FamilySpec,
@@ -283,6 +283,22 @@ class TestExtendedPrecision:
             for family, n in itertools.product(Family, (4, 16, 24)))
         assert ok, detail
 
+    def test_weights_divide_without_a_failed_mpf_conversion(self, monkeypatch):
+        # an mpf K divided by an object array first has mpmath try to
+        # convert the array, which formats all of it into the message of
+        # a TypeError before numpy's own division runs
+        calls = []
+        npconvert = type(mpmath.mp).npconvert
+
+        def counting(ctx, x):
+            calls.append(type(x))
+            return npconvert(ctx, x)
+
+        monkeypatch.setattr(type(mpmath.mp), "npconvert", counting)
+        for n in (2, 5):
+            build_rule(Family.C0_ODD, n, precision="extended")
+        assert calls == []
+
     def test_weight_sum_to_working_precision(self):
         rule = build_rule(Family.C1_ODD_ENDPOINT, 6, precision="extended")
         total = sum(w for iv in rule.intervals for w in iv.weights)
@@ -408,8 +424,9 @@ def _full_polish(iv, extended):
         return x.rounded().tolist(), weights.rounded().tolist()
     with mpmath.workdps(EXTENDED_DPS + GUARD_DIGITS):
         x = np.array([mpmath.mpf(h) + lo for h, lo in zip(x.hi, x.lo)], dtype=object)
-        x = polish(iv.r, x, found, assembly.mpf_polish_tol(EXTENDED_DPS))
-        (_, rder), (cval, _) = eval_combo((iv.r, c_prev), x)
+        r = iv.r.map(assembly._mpf)
+        x = polish(r, x, found, assembly.mpf_polish_tol(EXTENDED_DPS))
+        (_, rder), (cval, _) = eval_combo((r, c_prev), x)
         k = assembly._mpf(iv.weight_constant)
         weights = k / (cval * rder * weight_function(alpha, x))
     # unary plus rounds to the caller's precision, as assemble's output is

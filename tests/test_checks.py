@@ -2,10 +2,13 @@
 rule and flags the same rule with one planted fault."""
 
 import dataclasses
+from fractions import Fraction
 
 import mpmath
 import numpy as np
+import pytest
 
+from splinequad import families
 from splinequad.assembly import RuleInterval, assemble
 from splinequad.catalog import build_rule
 from splinequad.families import EXTENDED_DPS, Family, build_family
@@ -67,3 +70,19 @@ def test_extended_accuracy_flags_a_weight_moved_by_1e_45():
         planted = _planted(rule, 0, 0, weight=lambda w: w * (1 + mpmath.mpf(10) ** -45))
     assert checks.extended_accuracy(Family.C0_EVEN, 5, rule, 70)[0]
     assert not checks.extended_accuracy(Family.C0_EVEN, 5, planted, 70)[0]
+
+
+def test_extended_accuracy_flags_delta_cut_to_40_decimals():
+    # the rule built from a delta 1e-40 short; the reference spec, built
+    # by the check itself, has the full 200 decimals
+    def cut(radicand, exact=families._sqrt):
+        root = exact(radicand)
+        return Fraction(root.numerator * 10 ** 40 // root.denominator, 10 ** 40)
+
+    with mpmath.workdps(EXTENDED_DPS):
+        rule = assemble(build_family(Family.C0_EVEN, 5), extended=True)
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(families, "_sqrt", cut)
+            planted = assemble(build_family(Family.C0_EVEN, 5), extended=True)
+    assert checks.extended_accuracy(Family.C0_EVEN, 5, rule, 90)[0]
+    assert not checks.extended_accuracy(Family.C0_EVEN, 5, planted, 90)[0]

@@ -6,7 +6,7 @@ import pytest
 
 from splinequad import doubledouble
 from splinequad.doubledouble import DD, two_prod, two_sum
-from splinequad.families import EXTENDED_DPS, Family, build_family
+from splinequad.families import Family, _sqrt, build_family
 from splinequad.gegenbauer import GegenbauerCombo, eval_combo
 from splinequad.rootfind import isolate_and_refine
 
@@ -43,11 +43,11 @@ class TestErrorFreeTransformations:
         third = DD.of(Fraction(1, 3))
         error = Fraction(third.hi) + Fraction(third.lo) - Fraction(1, 3)
         assert abs(error) <= Fraction(1, 3) * Fraction(1, 2 ** 105)
-        with mpmath.workdps(EXTENDED_DPS):
-            root2 = mpmath.sqrt(2)
-            root2_dd = DD.of(root2)
-            error = mpmath.mpf(root2_dd.hi) + root2_dd.lo - root2
-        assert abs(error) <= root2 * mpmath.mpf(2) ** -105
+        # a spec's delta: the 200-decimal root of 2
+        root2 = _sqrt(Fraction(2))
+        root2_dd = DD.of(root2)
+        error = Fraction(root2_dd.hi) + Fraction(root2_dd.lo) - root2
+        assert abs(error) <= root2 * Fraction(1, 2 ** 105)
         big = DD.of(3 ** 40)
         assert Fraction(big.hi) + Fraction(big.lo) == 3 ** 40
 

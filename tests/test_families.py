@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,15 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from splinequad import families
 from splinequad.assembly import assemble
-from splinequad.families import (
-    EXTENDED_DPS,
-    GUARD_DIGITS,
-    MAX_N,
-    Family,
-    build_family,
-)
+from splinequad.families import EXTENDED_DPS, MAX_N, Family, build_family
 from splinequad.catalog import build_rule, build_rule_by_degree, family_for, rule_id
 from splinequad.gegenbauer import eval_combo, weight_function
 from splinequad.rootfind import isolate_and_refine
@@ -23,11 +17,10 @@ from paper import paper_weight
 
 
 def assert_delta_squares_to(spec, radicand):
-    """delta**2 equals the exact radicand to 1e-48 relative at EXTENDED_DPS."""
-    with mpmath.workdps(EXTENDED_DPS):
-        exact = mpmath.mpf(radicand.numerator) / radicand.denominator
-        assert abs(spec.delta ** 2 - exact) <= mpmath.mpf("1e-48") * exact, \
-            (spec.id, spec.n)
+    """delta**2 is below the radicand by at most 1e-199 of it, exactly in
+    Fractions: delta is the root truncated to 200 decimals."""
+    assert 0 <= radicand - spec.delta ** 2 <= Fraction(1, 10 ** 199) * radicand, \
+        (spec.id, spec.n)
 
 
 class TestC0Odd:
@@ -88,12 +81,11 @@ class TestC0Even:
     def test_minus_sign_flips_delta(self):
         plus = build_family(Family.C0_EVEN, 3, delta_sign=+1)
         minus = build_family(Family.C0_EVEN, 3, delta_sign=-1)
-        with mpmath.workdps(EXTENDED_DPS + GUARD_DIGITS):  # delta carries 60 digits
-            assert minus.delta == -plus.delta
+        assert minus.delta == -plus.delta
         assert plus.delta == pytest.approx(math.sqrt(5 / 3))
 
     def test_delta_radicand_exact(self):
-        for n in range(1, 51):
+        for n in range(1, MAX_N + 1):
             assert_delta_squares_to(build_family(Family.C0_EVEN, n), Fraction(n + 2, n))
 
     def test_rejects_invalid(self):
@@ -170,7 +162,7 @@ class TestC1Interior:
 class TestC1Even:
     def test_n2_exact_delta(self):
         spec = build_family(Family.C1_EVEN, 2)
-        assert spec.delta == 12.0
+        assert spec.delta == 12
         assert_delta_squares_to(spec, Fraction(144))
 
     def test_n2_first_interval(self):
@@ -226,7 +218,7 @@ class TestFamilyInvariants:
             assert family.degree(n) == expected[family](n)
 
     def test_delta_radicand_exact_all_families(self):
-        for n in range(2, 51):
+        for n in range(2, MAX_N + 1):
             assert_delta_squares_to(build_family(Family.C1_ODD_INTERIOR, n), Fraction(
                 3 * (n * n + 3 * n - 1), n * (n + 3)))
             radicand = Fraction(3 * n * (n + 2) * (n * n + 2 * n - 2))
@@ -235,13 +227,12 @@ class TestFamilyInvariants:
             assert even.delta == pytest.approx(math.sqrt(float(radicand)), rel=1e-15)
 
     @pytest.mark.parametrize("family", list(Family))
-    def test_weights_equal_paper_form(self, family, monkeypatch):
+    def test_weights_equal_paper_form(self, family):
         # the free weights, Christoffel numbers over the weight function,
-        # against the paper's A / (R' S f), at 110 digits: spec and
-        # assembly at 110, the paper's form at 120 at the rounded nodes.
+        # against the paper's A / (R' S f), at 110 digits: the exact spec
+        # assembled at 110, the paper's form at 120 at the rounded nodes.
         # Measured within 1.3e-105 relative, the nodes' rounding moving
         # the paper's form; C0 even with both delta signs
-        monkeypatch.setattr(families, "EXTENDED_DPS", 110)
         for delta_sign in (+1, -1) if family is Family.C0_EVEN else (+1,):
             for n in (2, 3, 24, 50):
                 spec = build_family(family, n, delta_sign=delta_sign)
@@ -254,6 +245,37 @@ class TestFamilyInvariants:
                         for x, w in zip(riv.nodes[free:], riv.weights[free:]):
                             v = paper_weight(spec, k, x)
                             assert abs(w - v) <= 1e-100 * v, (delta_sign, n, x)
+
+    def test_every_constant_is_exact(self):
+        # delta, R's constants, the fixed node and K: ints or Fractions,
+        # with either delta sign, at every n
+        signed = (Family.C0_EVEN, Family.C1_ODD_INTERIOR)
+        for family, n in family_range(MAX_N):
+            for delta_sign in (+1, -1) if family in signed else (+1,):
+                spec = build_family(family, n, delta_sign=delta_sign)
+                constants = [spec.delta]
+                for iv in spec.intervals:
+                    constants += [c for _, c in iv.r.terms] + list(iv.fixed_node or ())
+                    constants.append(iv.weight_constant or 0)
+                assert all(type(c) in (int, Fraction) for c in constants), (family, n)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_spec_takes_no_precision_from_mpmath(self, family):
+        # built, or each interval dataclasses.replace'd (which derives K
+        # again), under 15, 60 and 110 digits: equal specs, and equal
+        # double and 50-digit rules
+        specs = []
+        for dps in (15, 60, 110):
+            with mpmath.workdps(dps):
+                spec = build_family(family, 24)
+                intervals = tuple(dataclasses.replace(iv) for iv in spec.intervals)
+                specs += [spec, dataclasses.replace(spec, intervals=intervals)]
+        assert all(spec == specs[0] for spec in specs)
+        double = assemble(specs[0])
+        assert all(assemble(spec) == double for spec in specs)
+        with mpmath.workdps(EXTENDED_DPS):
+            extended = assemble(specs[0], extended=True)
+            assert all(assemble(spec, extended=True) == extended for spec in specs)
 
     def test_extra_factors(self):
         # the one factor of every free weight's denominator beside
