@@ -4,14 +4,15 @@
 interval, the free nodes are the roots of R (found by the root finder),
 listed after any fixed endpoint node, and their weights are the
 Christoffel numbers of R's Jacobi matrix over the Gegenbauer weight
-function, K / (C_(m-1)(x) R'(x) (1 - x^2)^(alpha - 1/2)) with the
-interval's constant K, never from solving a linear system.  The rule's
-degree is its family's ``degree(n)``.
+function, K / (C_(m-1)(x) R'(x) (1 - x^2)^(alpha - 1/2)), never from
+solving a linear system.  K is derived from R, exactly, once per
+interval (:func:`splinequad.gegenbauer.christoffel_constant`).  The
+rule's degree is its family's ``degree(n)``.
 
-The spec's constants are ints and Fractions.  Each is converted once
-into the arithmetic that uses it: to float for the Jacobi matrix of the
-root finder, by :meth:`DD.of` for double-double, and to the nearest mpf
-at the working precision for the extended polish (:func:`_mpf`).
+The spec's constants, and K, are ints and Fractions.  Each is converted
+once into the arithmetic that uses it: to float for the Jacobi matrix of
+the root finder, by :meth:`DD.of` for double-double, and to the nearest
+mpf at the working precision for the extended polish (:func:`_mpf`).
 
 Both precisions run one free-node stage (:func:`_free`): one
 double-double Newton step polishes the double roots, R' and C_(m-1) are
@@ -31,8 +32,9 @@ family; it holds for both C0 odd intervals and the C1 odd intervals,
 not for C0 even or C1 even, whose R mixes parities.
 
 A rule holds each interval's nodes and weights as two 1-D read-only
-numpy arrays, as ``numpy.polynomial.legendre.leggauss`` returns them:
-float64 in double, an object array of mpf in extended precision.  Every
+numpy arrays of one length, as ``numpy.polynomial.legendre.leggauss``
+returns them: float64 in double, an object array of mpf in extended
+precision (:data:`EXTENDED_DPS` digits).  Every
 step past the free-node stage (the fixed endpoint node, the mirror, the
 reflected interval and the scaling) is an array operation, with the
 same IEEE or mpf operations in the same order as one value at a time.
@@ -57,7 +59,7 @@ import numpy as np
 
 from .doubledouble import DD
 from .families import Family, FamilySpec
-from .gegenbauer import GegenbauerCombo, eval_combo, weight_function
+from .gegenbauer import GegenbauerCombo, christoffel_constant, eval_combo, weight_function
 from .rootfind import CountMismatch, RootSet, isolate_and_refine
 
 
@@ -71,11 +73,13 @@ class PolishFailed(Exception):
 
 @dataclass(frozen=True)
 class RuleInterval:
-    """Nodes ascending and their weights, as 1-D read-only arrays: float64
-    in a double rule, object arrays of mpf in an extended one.  Any
-    sequence given is copied into such an array, so an interval owns its
-    values.  Two intervals are equal when their values are; an interval,
-    like the rules that hold it, is not hashable."""
+    """Nodes ascending and their weights, as 1-D read-only arrays of one
+    length: float64 in a double rule, object arrays of mpf in an extended
+    one.  Any sequence given is copied into such an array, so an interval
+    owns its values; a ValueError is raised unless both are 1-D and of
+    one length (both may be empty).  Two intervals are equal when their
+    values are; an interval, like the rules that hold it, is not
+    hashable."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -85,6 +89,9 @@ class RuleInterval:
             values = np.array(getattr(self, name))
             values.flags.writeable = False
             object.__setattr__(self, name, values)
+        if self.nodes.ndim != 1 or self.nodes.shape != self.weights.shape:
+            raise ValueError(f"nodes and weights must be 1-D and of one length, "
+                             f"not of shapes {self.nodes.shape} and {self.weights.shape}")
 
     def __eq__(self, other):
         if not isinstance(other, RuleInterval):
@@ -117,6 +124,9 @@ class ScaledRule:
     def period_intervals(self) -> int:
         return len(self.intervals)
 
+
+# dps of the extended-precision rules
+EXTENDED_DPS = 50
 
 # digits past the output precision at which the extended polish, weights
 # and division run.  The weight is sensitive to its node (|d log w / dx|
@@ -213,7 +223,8 @@ def _free(iv, extended: bool) -> tuple:
     an ulp) would move it far past an ulp of the weight.  So R' and
     C_(m-1) are evaluated at the polished nodes in the same arithmetic,
     both from one recurrence, and each node and weight is rounded once,
-    at the end.
+    at the end.  K is derived from R once, exact, and converted into
+    each arithmetic as R's constants are.
 
     When every degree of R has one parity, R's roots are symmetric about
     0, and only the nonnegative ones are polished and weighed, the middle
@@ -229,13 +240,14 @@ def _free(iv, extended: bool) -> tuple:
         found = RootSet(found.roots[half:], found.brackets[half:])
     alpha, m = iv.r.alpha, max(d for d, _ in iv.r.terms)
     c_prev = GegenbauerCombo.build(alpha, [(m - 1, 1)])
-    r, k = iv.r.map(DD.of), DD.of(iv.weight_constant)
+    exact_k = christoffel_constant(iv.r)
+    r, k = iv.r.map(DD.of), DD.of(exact_k)
     x = polish(r, DD(np.array(found.roots)), found, REFINE_TOL)
     with contextlib.ExitStack() as working:
         if extended:
             tol = mpf_polish_tol(mpmath.mp.dps)
             working.enter_context(mpmath.workdps(mpmath.mp.dps + GUARD_DIGITS))
-            r, k = iv.r.map(_mpf), _mpf(iv.weight_constant)
+            r, k = iv.r.map(_mpf), _mpf(exact_k)
             # hi + lo is exact at the working precision
             x = np.array([mpmath.mpf(h) + lo
                           for h, lo in zip(*np.broadcast_arrays(x.hi, x.lo))], dtype=object)
@@ -307,7 +319,9 @@ def replicate_periodically(rule: ScaledRule, copies: int):
 
     Copy j shifts the period's nodes by j periods; a stable sort by node
     keeps equal nodes in copy order, then interval order.  The pairs hold
-    Python floats in a double rule, mpf values in an extended one.
+    Python floats in a double rule, mpf values in an extended one, whose
+    shifted nodes are rounded to EXTENDED_DPS digits whatever mpmath's
+    current precision is.
 
     Nothing in the package calls it: it is the public way to apply a rule
     over many intervals, as the README shows, and is kept for that."""
@@ -316,6 +330,7 @@ def replicate_periodically(rule: ScaledRule, copies: int):
     nodes = np.concatenate([iv.nodes for iv in rule.intervals])
     weights = np.concatenate([iv.weights for iv in rule.intervals])
     shifts = (np.arange(copies) * rule.period_intervals).astype(nodes.dtype)
-    tiled = (nodes + shifts[:, None]).ravel()
+    with mpmath.workdps(EXTENDED_DPS):  # float64 sums do not read it
+        tiled = (nodes + shifts[:, None]).ravel()
     order = np.argsort(tiled, kind="stable")
     return list(zip(tiled[order].tolist(), np.tile(weights, copies)[order].tolist()))

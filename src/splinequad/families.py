@@ -1,8 +1,9 @@
 """Closed-form construction data for the five spline quadrature families.
 
 :func:`build_family` is the one way to build a spec.  It checks the
-family, n and the delta sign, then runs the family's private formula
-function.
+family, n and the delta sign, runs the family's private formula
+function, which returns delta and the intervals, and makes the
+:class:`FamilySpec` from them.
 
 The spec is rational.  The paper states every family in closed form in
 n and one surd, delta = sqrt(d) with d rational, and every constant of a
@@ -16,12 +17,13 @@ at the working precision).
 The result is a :class:`FamilySpec`: the family, n, delta, and per
 interval of the period an :class:`IntervalSpec` holding the polynomial R
 whose roots are the free nodes (a combination of Gegenbauer
-polynomials with constant coefficients), the number of free nodes, an
-optional fixed endpoint node with its closed-form weight, and the
-constant K of the free weights.  The C1 even spec lists its first
-interval only: the second is the first's free part reflected at 0.
-That is all :func:`splinequad.assembly.assemble` reads; the degree and
-the period length follow from the family and the intervals.
+polynomials with constant coefficients), the number of free nodes and
+an optional fixed endpoint node with its closed-form weight: the data
+the paper states per family, and nothing derived from it.  The C1 even
+spec lists its first interval only: the second is the first's free part
+reflected at 0.  That is all :func:`splinequad.assembly.assemble` reads;
+the degree and the period length follow from the family and the
+intervals, and the constant K of the free weights from R.
 
 Every R is a C_m, or C_m plus a multiple of C_(m-1) or C_(m-2), all of
 order alpha: a quasi-orthogonal Gegenbauer polynomial (Chihara, Proc.
@@ -32,7 +34,8 @@ Comp. 23, 1969) over the weight function of the C_k:
 
     w(x) = K / (C_(m-1)(x) R'(x) (1 - x^2)^(alpha - 1/2)),
 
-by Christoffel-Darboux, with K from R alone (:func:`_weight_constant`).
+by Christoffel-Darboux, with K from R alone
+(:func:`splinequad.gegenbauer.christoffel_constant`).
 The paper writes them A / (R'(x) S(x) f(x)), with a second polynomial S,
 a constant A and a factor f per family; at 110 digits the two agree to
 1.3e-105 relative in every family at n = 2, 3, 24 and 50
@@ -59,14 +62,11 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .gegenbauer import GegenbauerCombo, last_row, monic_beta, squared_norm
-
-# dps of the extended-precision rules
-EXTENDED_DPS = 50
+from .gegenbauer import GegenbauerCombo
 
 # decimals of delta: more than any working precision that converts the
 # spec (60 digits for the 50-digit rules, 120 for the tests' 110-digit
@@ -129,41 +129,23 @@ class Family(enum.Enum):
                              f"in {self.min_n}..{MAX_N}")
 
 
-def _weight_constant(r: GegenbauerCombo):
-    """K = ||C_(m-1)||^2 (k_m / k_(m-1)) a rho of R = a C_m + b C_d: the
-    free weights are K / (C_(m-1)(x) R'(x) (1 - x^2)^(alpha - 1/2)).
-
-    k_m / k_(m-1) = 2 (m + alpha - 1) / m is the ratio of the leading
-    coefficients of C_m and C_(m-1), and rho = 1 - shift / beta_m the
-    ratio of R's last beta to C_m's (1 unless d = m - 2).  Exact, as R's
-    constants are: a Fraction where delta enters through b with d = m - 2
-    (C1 odd interior).
-    """
-    m, a, _, shift = last_row(r)
-    alpha = Fraction(r.alpha)
-    k = squared_norm(alpha, m - 1) * 2 * (m + alpha - 1) / m * a
-    return k * (1 - shift / monic_beta(alpha, m)) if shift else k
-
-
 @dataclass(frozen=True)
 class IntervalSpec:
-    """Construction data for one interval of a family's period.
+    """Construction data for one interval of a family's period: R, whose
+    roots are the free nodes, their number, and the fixed endpoint node
+    with its weight, if any.
 
-    ``weight_constant`` is derived from R when the interval is made:
-    K of :func:`_weight_constant`, exact, when the interval has free
-    nodes, else None.  R's constants, the fixed node and K are ints or
-    Fractions, so an interval made or ``dataclasses.replace``d anywhere
-    equals the one :func:`build_family` makes.
+    R's constants and the fixed node are ints or Fractions, so an
+    interval made or ``dataclasses.replace``d anywhere equals the one
+    :func:`build_family` makes.  The number of free nodes is R's degree
+    where there are any; it is kept to check the root count against.
+    The constant K of the free weights is not stored: assembly derives
+    it from R (:func:`splinequad.gegenbauer.christoffel_constant`).
     """
 
     r: GegenbauerCombo
     expected_free_nodes: int
     fixed_node: Optional[tuple] = None  # (x, w); x an int, w an int or Fraction
-    weight_constant: object = field(init=False)
-
-    def __post_init__(self):
-        k = _weight_constant(self.r) if self.expected_free_nodes else None
-        object.__setattr__(self, "weight_constant", k)
 
 
 @dataclass(frozen=True)
@@ -188,7 +170,7 @@ def _sqrt(radicand: Fraction) -> Fraction:
     return Fraction(math.isqrt(radicand.numerator * scale * scale // radicand.denominator), scale)
 
 
-def _c0_odd(n: int) -> FamilySpec:
+def _c0_odd(n: int) -> tuple:
     """C0, odd degree D = 2n - 1, periodic over two intervals.
 
     First interval: R_n = n^2 C_n - (n+1)^2 C_{n-2} with n free nodes;
@@ -209,12 +191,10 @@ def _c0_odd(n: int) -> FamilySpec:
             expected_free_nodes=n,
         )
     second = IntervalSpec(r=GegenbauerCombo.build(a, [(n - 1, 1)]), expected_free_nodes=n - 1)
-    return FamilySpec(
-        id=Family.C0_ODD, n=n, delta=0, intervals=(first, second),
-    )
+    return 0, (first, second)
 
 
-def _c0_even(n: int, delta_sign: int) -> FamilySpec:
+def _c0_even(n: int, delta_sign: int) -> tuple:
     """C0, even degree D = 2n, periodic over one interval.
 
     delta = sqrt((n+2)/n); both signs are admissible and give mirror-image
@@ -225,12 +205,10 @@ def _c0_even(n: int, delta_sign: int) -> FamilySpec:
         r=GegenbauerCombo.build(1.5, [(n, 1), (n - 1, delta)]),
         expected_free_nodes=n,
     )
-    return FamilySpec(
-        id=Family.C0_EVEN, n=n, delta=delta, intervals=(interval,),
-    )
+    return delta, (interval,)
 
 
-def _c1_endpoint(n: int) -> FamilySpec:
+def _c1_endpoint(n: int) -> tuple:
     """C1, odd degree D = 2n + 1, one interval, with a node at x = -1.
 
     The free nodes are the roots of C_{n-1}^(5/2), with the Gauss-Gegenbauer
@@ -242,12 +220,10 @@ def _c1_endpoint(n: int) -> FamilySpec:
         expected_free_nodes=n - 1,
         fixed_node=(-1, w1),
     )
-    return FamilySpec(
-        id=Family.C1_ODD_ENDPOINT, n=n, delta=0, intervals=(interval,),
-    )
+    return 0, (interval,)
 
 
-def _c1_interior(n: int, delta_sign: int) -> FamilySpec:
+def _c1_interior(n: int, delta_sign: int) -> tuple:
     """C1, odd degree D = 2n + 1, one interval, all nodes interior.
 
     delta = sqrt(3(n^2 + 3n - 1) / (n (n+3))), positive root only: the
@@ -263,9 +239,7 @@ def _c1_interior(n: int, delta_sign: int) -> FamilySpec:
     if n == 1:
         interval = IntervalSpec(r=GegenbauerCombo.build(a, []), expected_free_nodes=0,
                                 fixed_node=(0, 2))
-        return FamilySpec(
-            id=Family.C1_ODD_INTERIOR, n=1, delta=0, intervals=(interval,),
-        )
+        return 0, (interval,)
     delta = delta_sign * _sqrt(Fraction(3 * (n * n + 3 * n - 1), n * (n + 3)))
     interval = IntervalSpec(
         r=GegenbauerCombo.build(
@@ -277,12 +251,10 @@ def _c1_interior(n: int, delta_sign: int) -> FamilySpec:
         ),
         expected_free_nodes=n,
     )
-    return FamilySpec(
-        id=Family.C1_ODD_INTERIOR, n=n, delta=delta, intervals=(interval,),
-    )
+    return delta, (interval,)
 
 
-def _c1_even(n: int) -> FamilySpec:
+def _c1_even(n: int) -> tuple:
     """C1, even degree D = 2n, periodic over two intervals ("1/2 rule").
 
     First interval: node at -1 with a closed-form weight plus the n - 1
@@ -306,10 +278,7 @@ def _c1_even(n: int) -> FamilySpec:
         expected_free_nodes=n - 1,
         fixed_node=(-1, w1),
     )
-    return FamilySpec(
-        id=Family.C1_EVEN, n=n, delta=delta, intervals=(first,),
-        second_interval_by_reflection=True,
-    )
+    return delta, (first,)
 
 
 _FORMULAS = {
@@ -325,8 +294,10 @@ _SIGN_CHOICE = (Family.C0_EVEN, Family.C1_ODD_INTERIOR)
 
 
 def build_family(family: Family, n: int, delta_sign: int = +1) -> FamilySpec:
-    """The spec of ``family`` at index n, every constant an int or a
-    Fraction.
+    """The spec of ``family`` at index n: delta and the intervals from
+    the family's formula function, every constant an int or a Fraction.
+    C1 even's second interval is its first reflected, so its spec is
+    marked ``second_interval_by_reflection``.
 
     Raises a ValueError naming the family and n when family is not a
     :class:`Family`, when n is not an integer in the family's range
@@ -343,4 +314,6 @@ def build_family(family: Family, n: int, delta_sign: int = +1) -> FamilySpec:
         raise ValueError(f"{family.name} n={n}: delta_sign must be "
                          f"{'+1 or -1' if signed else '+1'}, not {delta_sign!r}")
     formula = _FORMULAS[family]
-    return formula(n, delta_sign) if signed else formula(n)
+    delta, intervals = formula(n, delta_sign) if signed else formula(n)
+    return FamilySpec(id=family, n=n, delta=delta, intervals=intervals,
+                      second_interval_by_reflection=family is Family.C1_EVEN)

@@ -11,7 +11,8 @@ recurrence, which is stable for the degrees and arguments used here
 A combo is a sum of constants times Gegenbauer polynomials of one alpha.
 Every R of the rule formulas is a C_m, a C_m + b C_(m-1) or a
 C_m + b C_(m-2): only the last row of its monic Jacobi matrix differs
-from C_m's, by :func:`last_row`.
+from C_m's, by :func:`last_row`, and the constant K of the Christoffel
+numbers at R's roots comes from that row (:func:`christoffel_constant`).
 
 :func:`eval_combo` is the one evaluator: a single Gegenbauer polynomial
 C_n^(alpha) is the one-term combo ``GegenbauerCombo.build(alpha, [(n, 1)])``.
@@ -120,6 +121,26 @@ def squared_norm(alpha, j) -> Fraction:
     odd_factorial = math.prod(range(1, 2 * ell, 2))
     return Fraction(2 * math.perm(j + 2 * ell, 2 * ell),
                     (2 * j + 2 * ell + 1) * odd_factorial ** 2)
+
+
+def christoffel_constant(r: GegenbauerCombo):
+    """K of R = a C_m + b C_d, from R's Jacobi matrix: the Christoffel
+    numbers at R's roots are
+
+        w(x) = K / (C_(m-1)(x) R'(x) (1 - x^2)^(alpha - 1/2)),
+
+    by Christoffel-Darboux (Golub & Welsch, Math. Comp. 23, 1969), with
+    K = ||C_(m-1)||^2 (k_m / k_(m-1)) a rho.  k_m / k_(m-1) =
+    2 (m + alpha - 1) / m is the ratio of the leading coefficients of C_m
+    and C_(m-1), and rho = 1 - shift / beta_m the ratio of R's last beta
+    to C_m's (1 unless d = m - 2), with m, a and shift from
+    :func:`last_row`.  Exact when R's constants are ints and Fractions,
+    as every rule's are.
+    """
+    m, a, _, shift = last_row(r)
+    alpha = Fraction(r.alpha)
+    k = squared_norm(alpha, m - 1) * 2 * (m + alpha - 1) / m * a
+    return k * (1 - shift / monic_beta(alpha, m)) if shift else k
 
 
 def weight_function(alpha, x):

@@ -4,17 +4,20 @@ Tier-1 runs them at small n (``test_acceptance.py``, ``test_assembly.py``)
 and ``full_range.py`` at the ranges the package declares, so each bound is
 stated once.  Each check returns ``(ok, detail)``: whether every value is
 within its bound, and the worst values and where, for the caller's
-report or assertion.  A NaN is worse than any bound.
+report or assertion.  A NaN is worse than any bound.  :func:`sha256`
+checks outputs against a pinned digest, to the bit.
 """
 
+import collections
+import hashlib
 import math
 
 import mpmath
 import numpy as np
 from scipy.special import eval_gegenbauer
 
-from splinequad.assembly import assemble
-from splinequad.families import EXTENDED_DPS, Family, build_family
+from splinequad.assembly import EXTENDED_DPS, assemble
+from splinequad.families import Family, build_family
 
 from paper import gegenbauer_values, paper_weight
 
@@ -203,3 +206,34 @@ def moments(pairs, gegenbauer, bound):
     (e, e_at), (p, p_at) = _worst(exact), _worst(past, least=True)
     return e <= bound and p > 1e-9, (f"exact sums within {float(e):.3g} at {e_at} (tol {bound:g}), "
                                      f"one degree past at least {float(p):.3g} at {p_at} (> 1e-09)")
+
+
+# a rule's intervals as tuples of floats, whose repr is, byte for byte, the
+# repr the rules had when they held their values in tuples
+TupleInterval = collections.namedtuple("RuleInterval", ["nodes", "weights"])
+
+
+def tuple_view(intervals):
+    return tuple(TupleInterval(tuple(iv.nodes.tolist()), tuple(iv.weights.tolist()))
+                 for iv in intervals)
+
+
+def double_text(rule):
+    """What a double rule is hashed by: the repr of its tuple view."""
+    return repr(tuple_view(rule.intervals))
+
+
+def mpf_text(rule):
+    """What an extended rule is hashed by: per interval, the mpf bits
+    (``_mpf_``) of its nodes, then of its weights."""
+    return repr([[v._mpf_ for v in [*iv.nodes, *iv.weights]] for iv in rule.intervals])
+
+
+def sha256(texts, pinned):
+    """Whether the SHA-256 of the texts, one rule's each, in order, is
+    the pinned hex digest."""
+    digest, count = hashlib.sha256(), 0
+    for count, text in enumerate(texts, 1):
+        digest.update(text.encode())
+    value = digest.hexdigest()
+    return value == pinned, f"SHA-256 {value} of {count} rules (pinned {pinned})"

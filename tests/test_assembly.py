@@ -1,7 +1,5 @@
-import collections
 import dataclasses
 import gc
-import hashlib
 import itertools
 import math
 import tracemalloc
@@ -13,6 +11,7 @@ from scipy.special import roots_gegenbauer
 
 from splinequad import assembly
 from splinequad.assembly import (
+    EXTENDED_DPS,
     GUARD_DIGITS,
     REFINE_TOL,
     DegenerateWeight,
@@ -25,14 +24,13 @@ from splinequad.assembly import (
 from splinequad.catalog import build_rule
 from splinequad.doubledouble import DD
 from splinequad.families import (
-    EXTENDED_DPS,
     MAX_N,
     Family,
     FamilySpec,
     IntervalSpec,
     build_family,
 )
-from splinequad.gegenbauer import GegenbauerCombo, eval_combo, weight_function
+from splinequad.gegenbauer import GegenbauerCombo, christoffel_constant, eval_combo, weight_function
 from splinequad.rootfind import isolate_and_refine
 
 import checks
@@ -172,14 +170,17 @@ class TestReplication:
     @pytest.mark.parametrize("family", list(Family))
     def test_same_pairs_as_a_loop(self, family, precision):
         # the reference: copy by copy, interval by interval, node by node,
-        # then Python's stable sort by node
+        # then Python's stable sort by node, the sums at the rule's 50
+        # digits.  The tiling must give the same under any mpmath precision
         rule = build_rule(family, 6, precision=precision)
         with mpmath.workdps(EXTENDED_DPS):
             expected = [(x + j * rule.period_intervals, w) for j in range(3)
                         for iv in rule.intervals for x, w in zip(iv.nodes, iv.weights)]
             expected.sort(key=lambda pair: pair[0])
-            pairs = replicate_periodically(rule, 3)
-        assert pairs == expected
+        for dps in (15, EXTENDED_DPS, 110):
+            with mpmath.workdps(dps):
+                pairs = replicate_periodically(rule, 3)
+            assert pairs == expected, dps
         real = float if precision == "double" else mpmath.mpf
         assert all(type(x) is real and type(w) is real for x, w in pairs)
 
@@ -254,6 +255,20 @@ class TestRepresentation:
         assert zero.weights.tolist() == [0.0] * len(iv.weights)
         assert zero.nodes.tolist() == iv.nodes.tolist()
 
+    def test_weights_of_another_length_are_rejected(self):
+        # cut one weight, the maple text of C1 odd endpoint n = 3 would
+        # pair 3 nodes with 2 weights
+        iv = build_rule(Family.C1_ODD_ENDPOINT, 3, precision="extended").intervals[0]
+        with pytest.raises(ValueError, match=r"of one length, not of shapes \(3,\) and \(2,\)"):
+            dataclasses.replace(iv, weights=iv.weights[:-1])
+
+    def test_two_dimensional_values_are_rejected(self):
+        with pytest.raises(ValueError, match=r"1-D .* shapes \(1, 2\) and \(1, 2\)"):
+            assembly.RuleInterval([[0.1, 0.2]], [[1.0, 1.0]])
+        # an interval without nodes stays valid: C0 odd n = 1 has one
+        empty = build_rule(Family.C0_ODD, 1).intervals[1]
+        assert dataclasses.replace(empty) == assembly.RuleInterval([], [])
+
     def test_given_array_is_copied(self):
         values = np.array([0.25, 0.75])
         iv = assembly.RuleInterval(values, values)
@@ -270,7 +285,7 @@ class TestRepresentation:
         assert values == 318
         bound = 12 * values + 3072
         assert size < bound, (size, bound)
-        _, tuples = _held_bytes(lambda: tuple_view(rule.intervals))
+        _, tuples = _held_bytes(lambda: checks.tuple_view(rule.intervals))
         assert tuples > bound, (tuples, bound)
 
 
@@ -420,14 +435,14 @@ def _full_polish(iv, extended):
     x = polish(r, DD(np.array(found.roots)), found, REFINE_TOL)
     if not extended:
         (_, rder), (cval, _) = eval_combo((r, c_prev), x)
-        weights = DD.of(iv.weight_constant) / (cval * rder * weight_function(alpha, x))
+        weights = DD.of(christoffel_constant(iv.r)) / (cval * rder * weight_function(alpha, x))
         return x.rounded().tolist(), weights.rounded().tolist()
     with mpmath.workdps(EXTENDED_DPS + GUARD_DIGITS):
         x = np.array([mpmath.mpf(h) + lo for h, lo in zip(x.hi, x.lo)], dtype=object)
         r = iv.r.map(assembly._mpf)
         x = polish(r, x, found, assembly.mpf_polish_tol(EXTENDED_DPS))
         (_, rder), (cval, _) = eval_combo((r, c_prev), x)
-        k = assembly._mpf(iv.weight_constant)
+        k = assembly._mpf(christoffel_constant(iv.r))
         weights = k / (cval * rder * weight_function(alpha, x))
     # unary plus rounds to the caller's precision, as assemble's output is
     return [+v for v in x], [+v for v in weights]
@@ -533,18 +548,8 @@ class TestQuasiGaussMoments:
         assert ok, detail
 
 
-# a rule's intervals as tuples of floats, whose repr is, byte for byte, the
-# repr the rules had when they held their values in tuples
-TupleInterval = collections.namedtuple("RuleInterval", ["nodes", "weights"])
-
-
-def tuple_view(intervals):
-    return tuple(TupleInterval(tuple(iv.nodes.tolist()), tuple(iv.weights.tolist()))
-                 for iv in intervals)
-
-
 class TestDoubleRegression:
-    # SHA-256 of repr(tuple_view(rule.intervals)) for n = min_n..50,
+    # SHA-256 of checks.double_text(rule) for n = min_n..50,
     # concatenated per family.  A change that moves any double output by
     # one bit fails here; update the digests only for a change meant to
     # move outputs
@@ -558,7 +563,6 @@ class TestDoubleRegression:
 
     @pytest.mark.parametrize("family", list(Family))
     def test_double_rules_bit_identical(self, family):
-        digest = hashlib.sha256()
-        for n in range(family.min_n, 51):
-            digest.update(repr(tuple_view(cached_rule(family, n).intervals)).encode())
-        assert digest.hexdigest() == self.DIGESTS[family]
+        ok, detail = checks.sha256((checks.double_text(cached_rule(family, n))
+                                    for n in range(family.min_n, 51)), self.DIGESTS[family])
+        assert ok, detail

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from splinequad import families
-from splinequad.assembly import RuleInterval, assemble
+from splinequad.assembly import EXTENDED_DPS, RuleInterval, assemble
 from splinequad.catalog import build_rule
-from splinequad.families import EXTENDED_DPS, Family, build_family
+from splinequad.families import Family, build_family
 
 import checks
 from conftest import cached_rule

@@ -6,10 +6,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from splinequad.assembly import assemble
-from splinequad.families import EXTENDED_DPS, MAX_N, Family, build_family
+from splinequad.assembly import EXTENDED_DPS, assemble
+from splinequad.families import MAX_N, Family, build_family
 from splinequad.catalog import build_rule, build_rule_by_degree, family_for, rule_id
-from splinequad.gegenbauer import eval_combo, weight_function
+from splinequad.gegenbauer import GegenbauerCombo, christoffel_constant, eval_combo, weight_function
 from splinequad.rootfind import isolate_and_refine
 
 from conftest import cached_rule, family_range
@@ -31,7 +31,7 @@ class TestC0Odd:
         for x in (-0.7, 0.0, 0.4):
             assert eval_combo(iv.r, x)[0] == pytest.approx(30 * x * x - 15)
         # ||C_1||^2 = 12/5, k_2/k_1 = 5/2, a = 4 and rho = 5/2
-        assert iv.weight_constant == 60
+        assert christoffel_constant(iv.r) == 60
         assert iv.expected_free_nodes == 2
 
     def test_n2_second_interval(self):
@@ -39,15 +39,18 @@ class TestC0Odd:
         iv = spec.intervals[1]
         for x in (-0.5, 0.25):
             assert eval_combo(iv.r, x)[0] == pytest.approx(3 * x)
-        assert iv.weight_constant == 4  # ||C_0||^2 = 4/3 times k_1/k_0 = 3
+        assert christoffel_constant(iv.r) == 4  # ||C_0||^2 = 4/3 times k_1/k_0 = 3
         assert iv.expected_free_nodes == 1
 
     def test_n1_first_interval_is_a_fixed_node(self):
-        # R would be C_1, whose Christoffel weight 4/3 is not the paper's 4
+        # R would be C_1, whose Christoffel weight 4/3 is not the paper's 4:
+        # K = 4 over C_0 C_1'(0) omega(0) = 1 * 3 * 1
         iv = build_family(Family.C0_ODD, 1).intervals[0]
         assert iv.fixed_node == (0, 4)
         assert iv.expected_free_nodes == 0 and iv.r.is_empty
-        assert iv.weight_constant is None
+        assert christoffel_constant(GegenbauerCombo.build(1.5, [(1, 1)])) / 3 == Fraction(4, 3)
+        with pytest.raises(ValueError):  # the empty R has no K
+            christoffel_constant(iv.r)
 
     def test_n1_second_interval_has_no_free_nodes(self):
         spec = build_family(Family.C0_ODD, 1)
@@ -61,7 +64,8 @@ class TestC0Odd:
         assert not spec.second_interval_by_reflection
         assert all(iv.fixed_node is None for iv in spec.intervals)
         # no delta in R: the weight constants are exact
-        assert all(isinstance(iv.weight_constant, (int, Fraction)) for iv in spec.intervals)
+        assert all(isinstance(christoffel_constant(iv.r), (int, Fraction))
+                   for iv in spec.intervals)
 
     def test_rejects_invalid_n(self):
         with pytest.raises(ValueError):
@@ -76,7 +80,7 @@ class TestC0Even:
         # R = C_1 + sqrt(3) C_0 vanishes at -1/sqrt(3)
         assert eval_combo(iv.r, -1 / math.sqrt(3))[0] == pytest.approx(0, abs=1e-14)
         # delta is in R's C_(m-1) term, which leaves K exact
-        assert iv.weight_constant == 4
+        assert christoffel_constant(iv.r) == 4
 
     def test_minus_sign_flips_delta(self):
         plus = build_family(Family.C0_EVEN, 3, delta_sign=+1)
@@ -104,7 +108,7 @@ class TestC1Endpoint:
         # free nodes are roots of C_1^(5/2) = 5x
         assert eval_combo(iv.r, 0.2)[0] == pytest.approx(1.0)
         # ||C_0||^2 = 16/15 times k_1/k_0 = 5
-        assert iv.weight_constant == Fraction(16, 3)
+        assert christoffel_constant(iv.r) == Fraction(16, 3)
         assert iv.expected_free_nodes == 1
 
     def test_n1_single_endpoint_node(self):
@@ -172,7 +176,7 @@ class TestC1Even:
         assert eval_combo(iv.r, 1 / 3)[0] == pytest.approx(0, abs=1e-13)
         assert iv.fixed_node[0] == -1
         assert iv.fixed_node[1] == pytest.approx(13 / 10)  # 13/20 after scaling
-        assert iv.weight_constant == 48  # 16/15 times k_1/k_0 = 5 times a = 9
+        assert christoffel_constant(iv.r) == 48  # 16/15 times k_1/k_0 = 5 times a = 9
 
     def test_reflection_flag(self):
         assert build_family(Family.C1_EVEN, 3).second_interval_by_reflection
@@ -202,9 +206,7 @@ class TestFamilyInvariants:
             spec = build_family(family, n)
             for iv in spec.intervals:
                 if iv.expected_free_nodes:
-                    assert iv.weight_constant > 0, (family, n)
-                else:
-                    assert iv.weight_constant is None, (family, n)
+                    assert christoffel_constant(iv.r) > 0, (family, n)
 
     def test_degree_of_exactness(self):
         expected = {
@@ -256,14 +258,14 @@ class TestFamilyInvariants:
                 constants = [spec.delta]
                 for iv in spec.intervals:
                     constants += [c for _, c in iv.r.terms] + list(iv.fixed_node or ())
-                    constants.append(iv.weight_constant or 0)
+                    if iv.expected_free_nodes:
+                        constants.append(christoffel_constant(iv.r))
                 assert all(type(c) in (int, Fraction) for c in constants), (family, n)
 
     @pytest.mark.parametrize("family", list(Family))
     def test_spec_takes_no_precision_from_mpmath(self, family):
-        # built, or each interval dataclasses.replace'd (which derives K
-        # again), under 15, 60 and 110 digits: equal specs, and equal
-        # double and 50-digit rules
+        # built, or each interval dataclasses.replace'd, under 15, 60 and
+        # 110 digits: equal specs, and equal double and 50-digit rules
         specs = []
         for dps in (15, 60, 110):
             with mpmath.workdps(dps):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import eval_gegenbauer as scipy_gegenbauer
 
+from splinequad.assembly import EXTENDED_DPS
 from splinequad.doubledouble import DD
-from splinequad.families import EXTENDED_DPS, Family, build_family
+from splinequad.families import Family, build_family
 from splinequad.gegenbauer import (
     GegenbauerCombo,
     eval_combo,
